@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,8 +13,8 @@ import (
 )
 
 // platformAxisArgs is a platform-axis-only sweep on a contention-free
-// base: the domain where both the batch path and the parallel replay
-// engine engage.
+// base: one workload on three latencies, the shape the batch path
+// engages on.
 var platformAxisArgs = []string{
 	"-apps", "ring", "-ranks", "16",
 	"-latencies", "5us,20us,50us", "-buscounts", "0",
@@ -23,10 +22,9 @@ var platformAxisArgs = []string{
 	"-size", "512", "-iters", "2",
 }
 
-// TestRunSweepReplayFlagsByteIdentical pins the tentpole's output
-// contract at the CLI: batching and the parallel engine are pure
-// performance knobs — every output format is byte-identical with them
-// off, on, and at any width.
+// TestRunSweepReplayFlagsByteIdentical pins the output contract at the
+// CLI: batching is a pure performance knob — every output format is
+// byte-identical with it on and off.
 func TestRunSweepReplayFlagsByteIdentical(t *testing.T) {
 	for _, format := range []string{"table", "csv", "json"} {
 		var ref bytes.Buffer
@@ -37,31 +35,22 @@ func TestRunSweepReplayFlagsByteIdentical(t *testing.T) {
 		if ref.Len() == 0 {
 			t.Fatalf("%s: empty reference output", format)
 		}
-		for _, extra := range [][]string{
-			nil, // batching on (default)
-			{"-replay-par", "1"},
-			{"-replay-par", "2"},
-			{"-replay-par", "4"},
-			{"-replay-par", "4", "-replay-batch=false"},
-		} {
-			var got bytes.Buffer
-			args := append([]string{"-format", format}, extra...)
-			if err := runSweep(append(args, platformAxisArgs...), &got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-				t.Errorf("%s %v: output differs from sequential unbatched reference", format, extra)
-			}
+		var got bytes.Buffer
+		if err := runSweep(append([]string{"-format", format}, platformAxisArgs...), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: batched output differs from the unbatched reference", format)
 		}
 	}
 }
 
 // TestRunSweepWorkLineCounters: the sweep: work: line reports the batched
-// and parallel-window counters, and they move when the knobs are on.
+// replays, and they move when batching is on.
 func TestRunSweepWorkLineCounters(t *testing.T) {
 	stderr := captureStderr(t, func() {
 		var out bytes.Buffer
-		if err := runSweep(append([]string{"-format", "csv", "-replay-par", "4"}, platformAxisArgs...), &out); err != nil {
+		if err := runSweep(append([]string{"-format", "csv"}, platformAxisArgs...), &out); err != nil {
 			t.Error(err)
 		}
 	})
@@ -69,8 +58,8 @@ func TestRunSweepWorkLineCounters(t *testing.T) {
 	if strings.Contains(line, " 0 batched replays") || !strings.Contains(line, "batched replays") {
 		t.Errorf("platform-axis sweep reported no batched replays: %q", line)
 	}
-	if strings.Contains(line, " 0 parallel windows") || !strings.Contains(line, "parallel windows") {
-		t.Errorf("-replay-par 4 sweep reported no parallel windows: %q", line)
+	if !strings.HasSuffix(line, " batched replays") {
+		t.Errorf("exact sweep's work line must end at the batched replays: %q", line)
 	}
 
 	stderr = captureStderr(t, func() {
@@ -80,8 +69,8 @@ func TestRunSweepWorkLineCounters(t *testing.T) {
 		}
 	})
 	line = workLine(t, stderr, "sweep: work:")
-	if !strings.Contains(line, " 0 batched replays") || !strings.Contains(line, " 0 parallel windows") {
-		t.Errorf("sequential unbatched sweep should report zero batched replays and windows: %q", line)
+	if !strings.HasSuffix(line, " 0 batched replays") {
+		t.Errorf("unbatched sweep should report zero batched replays: %q", line)
 	}
 }
 
@@ -144,19 +133,16 @@ func TestRunSweepProfiles(t *testing.T) {
 	}
 }
 
-// TestSpawnArgsForwardReplayFlags: campaign forwards the replay knobs to
-// spawned workers exactly when they are non-default.
+// TestSpawnArgsForwardReplayFlags: campaign forwards the replay knob to
+// spawned workers exactly when it is non-default.
 func TestSpawnArgsForwardReplayFlags(t *testing.T) {
 	off := &cliflag.Approx{}
-	rp := &cliflag.Replay{Par: 4, Batch: false}
+	rp := &cliflag.Replay{Batch: false}
 	args := spawnArgs(0, "http://x", "", 1, rp, off, 0, "crash", 1)
-	if i := slices.Index(args, "-replay-par"); i < 0 || args[i+1] != "4" {
-		t.Errorf("spawn args missing -replay-par 4: %v", args)
-	}
 	if !slices.Contains(args, "-replay-batch=false") {
 		t.Errorf("spawn args missing -replay-batch=false: %v", args)
 	}
-	rp = &cliflag.Replay{Par: 0, Batch: true}
+	rp = &cliflag.Replay{Batch: true}
 	args = spawnArgs(0, "http://x", "", 1, rp, off, 0, "crash", 1)
 	for _, a := range args {
 		if strings.HasPrefix(a, "-replay") {
@@ -189,31 +175,9 @@ func TestSpawnArgsForwardApproxFlags(t *testing.T) {
 	}
 }
 
-// TestReplayParEnvDefault: OVERLAPSIM_REPLAY_PAR sets the -replay-par
-// default; an explicit flag still wins.
-func TestReplayParEnvDefault(t *testing.T) {
-	t.Setenv("OVERLAPSIM_REPLAY_PAR", "3")
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	rp := cliflag.RegisterReplay(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if rp.Par != 3 || !rp.Batch {
-		t.Fatalf("env default not applied: %+v", rp)
-	}
-	fs = flag.NewFlagSet("x", flag.ContinueOnError)
-	rp = cliflag.RegisterReplay(fs)
-	if err := fs.Parse([]string{"-replay-par", "8"}); err != nil {
-		t.Fatal(err)
-	}
-	if rp.Par != 8 {
-		t.Fatalf("explicit flag must beat the env default: %+v", rp)
-	}
-}
-
-// TestRunCampaignWorkLineCounters: a campaign run with the replay knobs on
-// reports the batched and parallel-window work in its campaign: work: line,
-// and its merged output still matches the plain unsharded sweep.
+// TestRunCampaignWorkLineCounters: a campaign run reports the batched
+// replay work in its campaign: work: line, and its merged output still
+// matches the plain unsharded sweep.
 func TestRunCampaignWorkLineCounters(t *testing.T) {
 	var want bytes.Buffer
 	if err := runSweep(append([]string{"-format", "csv"}, platformAxisArgs...), &want); err != nil {
@@ -224,21 +188,21 @@ func TestRunCampaignWorkLineCounters(t *testing.T) {
 		args := []string{
 			"-dir", filepath.Join(t.TempDir(), "camp"),
 			"-cache-dir", t.TempDir(),
-			"-local-workers", "2", "-replay-par", "4", "-format", "csv", "--",
+			"-local-workers", "2", "-format", "csv", "--",
 		}
 		if err := runCampaign(append(args, platformAxisArgs...), &out); err != nil {
 			t.Error(err)
 		}
 	})
 	if !bytes.Equal(out.Bytes(), want.Bytes()) {
-		t.Errorf("campaign with replay knobs diverges from plain sweep:\n%s\n---\n%s",
+		t.Errorf("campaign diverges from plain sweep:\n%s\n---\n%s",
 			out.String(), want.String())
 	}
 	line := workLine(t, stderr, "campaign: work:")
 	if strings.Contains(line, " 0 batched replays") || !strings.Contains(line, "batched replays") {
 		t.Errorf("campaign reported no batched replays: %q", line)
 	}
-	if strings.Contains(line, " 0 parallel windows") || !strings.Contains(line, "parallel windows") {
-		t.Errorf("campaign with -replay-par 4 reported no parallel windows: %q", line)
+	if !strings.HasSuffix(line, " batched replays") {
+		t.Errorf("exact campaign's work line must end at the batched replays: %q", line)
 	}
 }

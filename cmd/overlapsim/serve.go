@@ -59,7 +59,6 @@ func runServe(args []string) error {
 		MaxQueued:       *maxQueued,
 		MaxPoints:       *maxPoints,
 		SweepWorkers:    *workers,
-		ReplayPar:       rp.Par,
 		DisableBatch:    !rp.Batch,
 		Approx:          ap.Enabled,
 		ApproxMaxErr:    ap.MaxErr,

@@ -113,9 +113,9 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerChaosDropRecovers: a worker that drops every first attempt
-// (runs the chunk, never reports) still converges — the coordinator
-// expires the leases and the retries complete the campaign.
+// TestWorkerChaosDropRecovers: a worker that drops the first attempt of
+// every chunk (runs it, never reports) still lets the campaign converge —
+// the coordinator expires the leases and the retries complete it.
 func TestWorkerChaosDropRecovers(t *testing.T) {
 	g, base, size, iters := testSweep()
 	sig := sweep.Signature(g, base, size, iters)
@@ -136,21 +136,26 @@ func TestWorkerChaosDropRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunks := numChunks(total, cfg.ChunkPoints)
 	w := &Worker{
-		Board:     &LocalBoard{C: c, Worker: "chaotic"},
+		// The chaotic worker leaves once it has leased every chunk, so each
+		// chunk's first attempt is one it dropped.
+		Board:     &firstAttemptsBoard{Board: &LocalBoard{C: c, Worker: "chaotic"}, chunks: chunks},
 		ID:        "chaotic",
 		Runner:    testRunner(base),
 		Grid:      g,
 		Signature: sig,
 		Total:     total,
-		NumChunks: numChunks(total, cfg.ChunkPoints),
-		// Rate 1 + drop: every attempt draws an injection, so every chunk's
-		// first lease is dropped and only a later lease reports it.
+		NumChunks: chunks,
+		// Rate 1 + drop: every attempt draws an injection, so no lease the
+		// chaotic worker holds is ever reported.
 		Chaos: Chaos{Rate: 1, Seed: 5, Mode: ChaosDrop},
 		Logf:  t.Logf,
 	}
-	// Rate 1 means retries drop too — run a clean worker alongside, as the
-	// CI chaos job does, so the campaign can finish.
+	// A clean worker, run after the chaotic one (as the CI chaos job runs
+	// one alongside), retries the expired chunks so the campaign finishes.
+	// Running them one after the other keeps the test deterministic: run
+	// together, either worker can win every lease.
 	clean := &Worker{
 		Board:     &LocalBoard{C: c, Worker: "clean"},
 		ID:        "clean",
@@ -158,29 +163,45 @@ func TestWorkerChaosDropRecovers(t *testing.T) {
 		Grid:      g,
 		Signature: sig,
 		Total:     total,
-		NumChunks: numChunks(total, cfg.ChunkPoints),
+		NumChunks: chunks,
 		Logf:      t.Logf,
 	}
-	var wg sync.WaitGroup
 	for _, wk := range []*Worker{w, clean} {
-		wg.Add(1)
-		go func(wk *Worker) {
-			defer wg.Done()
-			if err := wk.Run(context.Background()); err != nil {
-				t.Errorf("worker %s: %v", wk.ID, err)
-			}
-		}(wk)
+		if err := wk.Run(context.Background()); err != nil {
+			t.Fatalf("worker %s: %v", wk.ID, err)
+		}
 	}
-	wg.Wait()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Assemble(); err != nil {
 		t.Fatal(err)
 	}
-	if ct := c.Counters(); ct.Expired == 0 {
-		t.Fatalf("chaos drop produced no lease expiries: %+v", ct)
+	if ct := c.Counters(); ct.Expired < chunks {
+		t.Fatalf("chaos drop expired %d leases, want at least one per chunk (%d): %+v", ct.Expired, chunks, ct)
 	}
+}
+
+// firstAttemptsBoard hands its worker leases until it has seen every
+// chunk, then reports the campaign done to it.
+type firstAttemptsBoard struct {
+	Board
+	chunks int
+	seen   map[int]bool
+}
+
+func (b *firstAttemptsBoard) Lease(ctx context.Context) (*Lease, time.Duration, error) {
+	if len(b.seen) == b.chunks {
+		return nil, 0, ErrCampaignDone
+	}
+	l, wait, err := b.Board.Lease(ctx)
+	if l != nil {
+		if b.seen == nil {
+			b.seen = make(map[int]bool)
+		}
+		b.seen[l.Chunk] = true
+	}
+	return l, wait, err
 }
 
 // TestChaosDeterminism: the injection schedule is a pure function of

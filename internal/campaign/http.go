@@ -31,7 +31,10 @@ import (
 // latter.
 
 // ProtocolVersion gates spec compatibility between coordinator and worker.
-const ProtocolVersion = 1
+// Version 2 encodes the complete message's work counters with the
+// snake_case keys of sweep.Counters and without a parallel-windows field,
+// so a version-1 peer is refused at join instead of failing every chunk.
+const ProtocolVersion = 2
 
 // SpecJSON is the GET /campaign/spec document: everything a bare worker
 // needs to reconstruct the sweep. Args is the raw sweep spec (the

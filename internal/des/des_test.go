@@ -9,12 +9,24 @@ import (
 	"overlapsim/internal/units"
 )
 
+// fn lets these tests schedule plain funcs: a test-local Target that
+// ignores the kind and calls itself.
+type fn func()
+
+func (f fn) HandleEvent(Kind) { f() }
+
+// scheduleAt schedules f at the absolute instant t.
+func scheduleAt(e *Engine, t units.Time, f func()) { e.ScheduleEvent(t, fn(f), 0) }
+
+// scheduleAfter schedules f after delay d.
+func scheduleAfter(e *Engine, d units.Duration, f func()) { e.ScheduleEventAfter(d, fn(f), 0) }
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := New()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	scheduleAt(e, 30, func() { order = append(order, 3) })
+	scheduleAt(e, 10, func() { order = append(order, 1) })
+	scheduleAt(e, 20, func() { order = append(order, 2) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +46,7 @@ func TestEngineTieBreakByInsertion(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		scheduleAt(e, 5, func() { order = append(order, i) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -49,9 +61,9 @@ func TestEngineTieBreakByInsertion(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := New()
 	var trace []units.Time
-	e.Schedule(10, func() {
+	scheduleAt(e, 10, func() {
 		trace = append(trace, e.Now())
-		e.ScheduleAfter(5, func() {
+		scheduleAfter(e, 5, func() {
 			trace = append(trace, e.Now())
 		})
 	})
@@ -65,13 +77,13 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() {
+	scheduleAt(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		scheduleAt(e, 5, func() {})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -84,14 +96,14 @@ func TestEngineNilEventPanics(t *testing.T) {
 			t.Error("nil event should panic")
 		}
 	}()
-	New().Schedule(0, nil)
+	New().ScheduleEventAfter(0, nil, 0)
 }
 
 func TestEngineStop(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
+	scheduleAt(e, 1, func() { ran++; e.Stop() })
+	scheduleAt(e, 2, func() { ran++ })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +119,8 @@ func TestEngineStepLimit(t *testing.T) {
 	e := New()
 	e.SetStepLimit(100)
 	var tick func()
-	tick = func() { e.ScheduleAfter(1, tick) }
-	e.Schedule(0, tick)
+	tick = func() { scheduleAfter(e, 1, tick) }
+	scheduleAt(e, 0, tick)
 	if err := e.Run(); err == nil {
 		t.Error("expected step-limit error for self-perpetuating schedule")
 	}
@@ -117,8 +129,8 @@ func TestEngineStepLimit(t *testing.T) {
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := New()
 	var at units.Time
-	e.Schedule(10, func() {
-		e.ScheduleAfter(-5, func() { at = e.Now() })
+	scheduleAt(e, 10, func() {
+		scheduleAfter(e, -5, func() { at = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -138,9 +150,9 @@ func TestPropertyEngineMonotoneClock(t *testing.T) {
 		want := make([]units.Time, 0, count)
 		got := make([]units.Time, 0, count)
 		for i := 0; i < count; i++ {
-			at := units.Time(rng.Int63n(1000))
-			want = append(want, at)
-			e.Schedule(at, func() { got = append(got, e.Now()) })
+			when := units.Time(rng.Int63n(1000))
+			want = append(want, when)
+			scheduleAt(e, when, func() { got = append(got, e.Now()) })
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -161,135 +173,5 @@ func TestPropertyEngineMonotoneClock(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResourceImmediateGrant(t *testing.T) {
-	r := NewResource("bus", 2)
-	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
-	if granted != 2 {
-		t.Fatalf("granted = %d, want 2", granted)
-	}
-	if r.InUse() != 2 {
-		t.Errorf("InUse = %d, want 2", r.InUse())
-	}
-	if r.Free() {
-		t.Error("pool should be exhausted")
-	}
-}
-
-func TestResourceFIFOQueue(t *testing.T) {
-	r := NewResource("bus", 1)
-	var order []int
-	r.Acquire(func() { order = append(order, 0) })
-	r.Acquire(func() { order = append(order, 1) })
-	r.Acquire(func() { order = append(order, 2) })
-	if len(order) != 1 {
-		t.Fatalf("only first acquire should be granted, got %v", order)
-	}
-	r.Release() // grants 1
-	r.Release() // grants 2
-	if len(order) != 3 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("grant order = %v, want [0 1 2]", order)
-	}
-	if r.InUse() != 1 {
-		t.Errorf("InUse = %d, want 1 (the last grantee still holds)", r.InUse())
-	}
-}
-
-func TestResourceInfiniteCapacity(t *testing.T) {
-	r := NewResource("ideal", 0)
-	granted := 0
-	for i := 0; i < 1000; i++ {
-		r.Acquire(func() { granted++ })
-	}
-	if granted != 1000 {
-		t.Errorf("granted = %d, want 1000 on infinite pool", granted)
-	}
-	if r.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0", r.QueueLen())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	r := NewResource("link", 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after Release should succeed")
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("releasing an idle resource should panic")
-		}
-	}()
-	NewResource("bus", 1).Release()
-}
-
-func TestResourceNegativeCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative capacity should panic")
-		}
-	}()
-	NewResource("bad", -1)
-}
-
-func TestPropertyResourceConservation(t *testing.T) {
-	// Random acquire/release sequences never exceed capacity and grant in
-	// FIFO order.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cap := rng.Intn(4) + 1
-		r := NewResource("p", cap)
-		outstanding := 0 // how many grants we have received and not released
-		nextID, nextGrant := 0, 0
-		ok := true
-		for step := 0; step < 200; step++ {
-			if rng.Intn(2) == 0 {
-				id := nextID
-				nextID++
-				r.Acquire(func() {
-					if id != nextGrant {
-						ok = false // out of FIFO order
-					}
-					nextGrant++
-					outstanding++
-				})
-			} else if outstanding > 0 {
-				outstanding--
-				r.Release()
-			}
-			if r.InUse() > cap {
-				return false
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := New()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(units.Time(j%97), func() {})
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

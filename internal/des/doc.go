@@ -19,10 +19,8 @@
 // a 4-ary min-heap of inline 32-byte values (the insertion sequence and
 // the kind share one packed word), with no per-event heap allocation and
 // no heap-index bookkeeping, because queue churn dominates replay hot
-// loops. The legacy closure form (Schedule/ScheduleAfter with a func) is
-// kept as a thin adapter — Event itself implements Target — for tests,
-// examples and call sites where a per-schedule closure allocation does not
-// matter.
+// loops. There is no closure form: a caller that wants one wraps a func in
+// a type with a HandleEvent method.
 //
 // Engines are reusable: Reset rewinds the clock and step counter while
 // keeping the queue's backing array, so a replayer that runs many traces
@@ -30,6 +28,7 @@
 // TestTypedEventSteadyStateAllocs guard pins that budget at exactly zero
 // allocations per schedule/dispatch cycle on a warm engine.
 //
-// The replayer builds rank state machines and network resource schedulers
-// (see Resource) on top of the engine.
+// The engine is single-threaded: one Run drives one queue. The replayer
+// builds its rank state machines and transfers on top of it and keeps its
+// own bus and link counts for resource arbitration.
 package des

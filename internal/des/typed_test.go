@@ -44,19 +44,20 @@ func TestScheduleEventDispatchesKinds(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureEventsInterleaveDeterministically(t *testing.T) {
+func TestSameInstantEventsOfDifferentTargetsRunInInsertionOrder(t *testing.T) {
 	e := New()
 	var order []string
-	ct := Event(func() { order = append(order, "typed-adapter") })
-	e.Schedule(10, func() { order = append(order, "closure") })
-	e.ScheduleEvent(10, ct, 0)
-	e.ScheduleEvent(5, ct, 0)
+	a := fn(func() { order = append(order, "a") })
+	b := fn(func() { order = append(order, "b") })
+	e.ScheduleEvent(10, b, 0)
+	e.ScheduleEvent(10, a, 0)
+	e.ScheduleEvent(5, a, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Same-instant events run in insertion order: the closure was scheduled
-	// at t=10 before the typed event at t=10.
-	want := []string{"typed-adapter", "closure", "typed-adapter"}
+	// Same-instant events run in insertion order, whichever target they
+	// belong to: b was scheduled at t=10 before a.
+	want := []string{"a", "b", "a"}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -71,15 +72,6 @@ func TestScheduleEventNilTargetPanics(t *testing.T) {
 		}
 	}()
 	New().ScheduleEvent(0, nil, 0)
-}
-
-func TestScheduleNilClosurePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on nil closure")
-		}
-	}()
-	New().Schedule(0, nil)
 }
 
 func TestEngineResetReusesQueue(t *testing.T) {

@@ -103,35 +103,26 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
 // summary path — what every batched sweep point pays. Result assembly is
 // the only allocation Simulate makes when warm, and SimulateSummary skips
-// it; the parallel engine must hold the same line once its shard state
-// exists.
+// it.
 func TestSummarySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
-	ts := pipelineSet() // collective-free: eligible for the parallel engine
+	ts := pipelineSet()
 	cfg := testConfig()
-	for _, par := range []int{0, 4} {
-		r := NewReplayer()
-		r.Parallel = par
-		r.ParThreshold = 2
-		for i := 0; i < 3; i++ {
-			sum, err := r.SimulateSummary(ts, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par > 0 && sum.Windows == 0 {
-				t.Fatal("parallel engine did not engage")
-			}
+	r := NewReplayer()
+	for i := 0; i < 3; i++ {
+		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := r.SimulateSummary(ts, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("par=%d: warm SimulateSummary allocates %.1f/run, budget 0", par, allocs)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 0 {
+		t.Errorf("warm SimulateSummary allocates %.1f/run, budget 0", allocs)
 	}
 }
 

@@ -18,7 +18,6 @@ type Summary struct {
 	Total   units.Time // simulated runtime (max rank finish)
 	Steps   int64      // DES events executed
 	Blocked float64    // mean per-rank blocked-time fraction
-	Windows int64      // conservative-window rounds (0 when sequential)
 }
 
 // SimulateSummary runs one replay and reports only the summary — the warm
@@ -41,11 +40,10 @@ func (s *Replayer) SimulateSummary(ts *trace.Set, cfg machine.Config) (Summary, 
 // the replayer's struct-of-arrays finish state and the still-open timeline
 // builders (StateDurations reads them without closing or copying).
 func (s *Replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config) (Summary, error) {
-	windows, err := s.runPrepared(ts, cfg)
-	if err != nil {
+	if err := s.runPrepared(ts, cfg); err != nil {
 		return Summary{}, err
 	}
-	sum := Summary{Steps: s.ranSteps, Windows: windows}
+	sum := Summary{Steps: s.ranSteps}
 	n := s.nprocs
 	for _, f := range s.finish[:n] {
 		if f > sum.Total {

@@ -38,12 +38,18 @@
 // Simulate draws replayers from an internal pool so every caller — the
 // sweep runner's workers included — reuses warm scratch automatically.
 //
+// # One sequential event loop
+//
+// Every replay runs through one sequential event loop; throughput across
+// platforms comes from the sweep layer, which runs independent points in
+// parallel and batches a workload's platform axis through one warm
+// Replayer (SimulateBatch), not from splitting a single replay.
+//
 // Determinism matters beyond reproducibility: Simulate is a pure function
 // of (trace set, machine configuration), which is what lets the sweep
 // layer memoize replay results by (workload, variant, platform) and lets
 // sharded sweep campaigns promise byte-identical merged output. The
-// recycling layer preserves this bit-for-bit: typed events are scheduled
-// in exactly the closure path's order, and pooled objects are fully
+// recycling layer preserves this bit-for-bit: pooled objects are fully
 // re-zeroed, so a reused replayer's output is indistinguishable from a
 // cold one's.
 package replay

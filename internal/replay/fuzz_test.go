@@ -15,7 +15,7 @@ import (
 // very large ones (the fuzzer makes no progress exploring size, only shape).
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte("H 2 1000 \"a\" \"o\"\nT 0\nC 10\nS 1 0 64\nG barrier 0 0\nT 1\nC 20\nR 0 0 64\nG barrier 0 0\n"))
-	// Collective-free pairwise exchange: engages the parallel leg below.
+	// Collective-free pairwise exchange across two node pairs.
 	f.Add([]byte("H 4 1000 \"par\" \"o\"\nT 0\nC 100\nS 1 0 64\nR 1 1 64\nT 1\nC 120\nR 0 0 64\nS 0 1 64\nT 2\nC 90\nS 3 2 64\nR 3 3 64\nT 3\nC 80\nR 2 2 64\nS 2 3 64\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := trace.Read(bytes.NewReader(data))
@@ -51,25 +51,42 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("replay nondeterministic: total %v/%v steps %d/%d",
 				res.Total, res2.Total, res.Steps, res2.Steps)
 		}
-		// The parallel engine must agree with sequential on any workload the
-		// fuzzer produces. Contention-free platform (its eligibility domain),
-		// threshold lowered so small fuzz inputs engage; traces it refuses
-		// (collectives) exercise the fallback, which must also agree.
-		pcfg := cfg
-		pcfg.Buses, pcfg.InLinks, pcfg.OutLinks = 0, 0, 0
-		seq, err := Simulate(ts, pcfg)
-		pr := NewReplayer()
-		pr.Parallel = 4
-		pr.ParThreshold = 2
-		par, perr := pr.Simulate(ts, pcfg)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("parallel/sequential disagree on failure: seq=%v par=%v", err, perr)
-		}
-		if err == nil {
-			par.Windows = 0
-			if !reflect.DeepEqual(par, seq) {
-				t.Fatalf("parallel result diverges: total %v/%v steps %d/%d",
-					par.Total, seq.Total, par.Steps, seq.Steps)
+		// Contended platforms: one shared bus, and two ranks per node
+		// behind single links, so transfers queue in the drain loop. A
+		// fresh replayer must agree with a pooled warm one, and the batch
+		// path with one Simulate per config.
+		base := machine.Default()
+		bus1 := base
+		bus1.Buses = 1
+		rpn2 := base
+		rpn2.RanksPerNode, rpn2.InLinks, rpn2.OutLinks = 2, 1, 1
+		cfgs := []machine.Config{base, bus1, rpn2}
+		out := make([]Summary, len(cfgs))
+		n, berr := SimulateBatch(ts, cfgs, out, 0)
+		for i, c := range cfgs {
+			want, err := Simulate(ts, c)
+			if i > 0 {
+				fresh, ferr := NewReplayer().Simulate(ts, c)
+				if (err == nil) != (ferr == nil) {
+					t.Fatalf("config %d: fresh/pooled disagree on failure: pooled=%v fresh=%v", i, err, ferr)
+				}
+				if err == nil && !reflect.DeepEqual(fresh, want) {
+					t.Fatalf("config %d: fresh result diverges from pooled: total %v/%v steps %d/%d",
+						i, fresh.Total, want.Total, fresh.Steps, want.Steps)
+				}
+			}
+			if err != nil {
+				if berr == nil || n != i {
+					t.Fatalf("config %d: Simulate failed (%v) but batch completed %d points (err %v)", i, err, n, berr)
+				}
+				break
+			}
+			if i >= n {
+				t.Fatalf("config %d: Simulate succeeded but batch stopped at %d: %v", i, n, berr)
+			}
+			if got := out[i]; got.Total != want.Total || got.Steps != want.Steps || got.Blocked != want.MeanBlockedFraction() {
+				t.Fatalf("config %d: batch summary %+v diverges from Simulate total=%v steps=%d blocked=%v",
+					i, got, want.Total, want.Steps, want.MeanBlockedFraction())
 			}
 		}
 	})

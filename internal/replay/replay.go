@@ -54,7 +54,6 @@ type Result struct {
 	Timelines *timeline.Set
 	Network   NetworkStats
 	Steps     int64 // DES events executed
-	Windows   int64 // conservative-window rounds (0 when run sequentially)
 }
 
 // Ranks derives the per-rank time accounting from the timelines. It is a
@@ -123,44 +122,29 @@ var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
 // arguments; internally it draws a pooled Replayer, so repeated calls do
 // not pay the scratch-allocation cost of a cold replayer.
 func Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
-	return SimulatePar(ts, cfg, 0)
-}
-
-// SimulatePar is Simulate with the conservative-window parallel engine
-// enabled at the given width (see Replayer.Parallel). The result is
-// identical to Simulate's; par <= 1 runs sequentially.
-func SimulatePar(ts *trace.Set, cfg machine.Config, par int) (*Result, error) {
 	r := replayerPool.Get().(*Replayer)
-	r.Parallel = par
 	res, err := r.Simulate(ts, cfg)
-	r.Parallel = 0
 	replayerPool.Put(r)
 	return res, err
 }
 
 // SimulateBatch runs one pooled warm Replayer over many platform configs
-// for the same trace set; see Replayer.SimulateBatch. par enables the
-// parallel engine per point, exactly as in SimulatePar.
-func SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary, par int) (int, error) {
+// for the same trace set; see Replayer.SimulateBatch. The last argument is
+// ignored: it once selected a parallel replay width and stays only so
+// existing callers keep compiling.
+func SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary, _ int) (int, error) {
 	r := replayerPool.Get().(*Replayer)
-	r.Parallel = par
 	n, err := r.SimulateBatch(ts, cfgs, out)
-	r.Parallel = 0
 	replayerPool.Put(r)
 	return n, err
 }
 
 // Event kinds of the replay model. A proc only ever receives evAdvance;
-// transfers receive the network-phase kinds. The split delivery kinds
-// exist only under the parallel engine, where the sender's and receiver's
-// ranks may live on different shards: each side completes in its own
-// shard at the same simulated instant.
+// transfers receive the network-phase kinds.
 const (
-	evAdvance    des.Kind = iota // proc: resume the rank's state machine
-	evDeliver                    // transfer: delivery completes (both sides)
-	evWireDone                   // transfer: wire occupancy ends, resources free
-	evDeliverDst                 // transfer: receiver-side delivery (parallel)
-	evDeliverSrc                 // transfer: sender-side delivery (parallel)
+	evAdvance  des.Kind = iota // proc: resume the rank's state machine
+	evDeliver                  // transfer: delivery completes
+	evWireDone                 // transfer: wire occupancy ends, resources free
 )
 
 // channelKey identifies a directed message channel for FIFO matching.
@@ -232,24 +216,11 @@ type transfer struct {
 
 	sendPosted, recvPosted bool
 	started                bool
-	// Delivery is tracked per side: the sender's rank reads deliveredSrc,
-	// the receiver's reads deliveredDst. Sequential replay sets both at the
-	// same instant (one flag split in two); the parallel engine sets each
-	// from its own shard's delivery event, so neither side reads state the
-	// other shard writes.
-	deliveredSrc, deliveredDst bool
+	delivered              bool
 
-	// sendAt/recvAt record when each half was posted (the poster's local
-	// clock). The transfer's start time is sendAt for eager sends and
-	// max(sendAt, recvAt) for rendezvous — under the parallel engine the
-	// matching shard's own clock may lag the true start time, so it must
-	// be derived from these rather than from Now.
-	sendAt, recvAt units.Time
-
-	refs       int     // live request-table references (sequential only)
-	sender     *proc   // blocked rendezvous sender, resumed at delivery
-	waiters    []*proc // receiver-side procs blocked on delivery
-	srcWaiters []*proc // sender-side procs blocked on delivery (parallel)
+	refs    int     // live request-table references
+	sender  *proc   // blocked rendezvous sender, resumed at delivery
+	waiters []*proc // procs blocked on delivery (receivers and Wait callers)
 }
 
 // HandleEvent dispatches the transfer's typed events.
@@ -259,12 +230,6 @@ func (t *transfer) HandleEvent(k des.Kind) {
 		t.sim.deliver(t)
 	case evWireDone:
 		t.sim.wireDone(t)
-	case evDeliverDst:
-		par := t.sim.par
-		par.views[par.shardOf(t.dst)].deliverDst(t)
-	case evDeliverSrc:
-		par := t.sim.par
-		par.views[par.shardOf(t.src)].deliverSrc(t)
 	default:
 		t.sim.fail(fmt.Errorf("replay: transfer %d->%d received unknown event kind %d", t.src, t.dst, k))
 	}
@@ -288,19 +253,6 @@ type collSlot struct {
 // NewReplayer. A Replayer must not be used concurrently; the package-level
 // Simulate draws from an internal pool and is safe for concurrent use.
 type Replayer struct {
-	// Parallel enables the conservative-window parallel engine: ranks are
-	// partitioned across min(Parallel, nranks) shards that advance
-	// concurrently between barriers one lookahead apart. Results are
-	// identical to sequential replay. It engages only when the run is
-	// eligible (enough ranks, no collectives, a contention-free platform —
-	// see parallelPlan); ineligible runs silently fall back to sequential.
-	// 0 or 1 means sequential.
-	Parallel int
-	// ParThreshold overrides the rank count below which the parallel
-	// engine declines to engage (window synchronization would cost more
-	// than it saves). 0 means DefaultParThreshold.
-	ParThreshold int
-
 	eng  *des.Engine
 	cfg  machine.Config
 	mips units.MIPS
@@ -323,28 +275,14 @@ type Replayer struct {
 
 	stats    NetworkStats
 	err      error
-	ranSteps int64 // DES events executed by the last run (all shards)
+	ranSteps int64 // DES events executed by the last run
 
-	// Parallel-engine state. On the root replayer par is nil and scratch
-	// holds the reusable shard machinery; each shard runs through a view —
-	// a Replayer clone whose par/shard are set, whose eng and stats are
-	// private, and whose matching maps alias the root's (guarded by
-	// scratch.mu).
-	par          *parState
-	shard        int
-	extraDeliver int64     // split deliveries scheduled by this shard
-	skippedWire  int64     // wire events elided by this shard (see startPar)
-	scratch      *parState // root only: reusable shard state
-
-	// Per-set memos, keyed by set identity: the collective scan feeding
-	// parallelPlan and the trace.Validate result. A warm replayer
-	// re-running the same set (a batch, a sweep's platform axis, a
-	// benchmark loop) skips both; the memos assume the caller does not
-	// mutate a set between replays. Weak pointers keep an idle pooled
-	// replayer from pinning the last trace set it ran (see dropRecs).
-	collScanned weak.Pointer[trace.Set]
-	collFound   bool
-	validated   weak.Pointer[trace.Set]
+	// validated memoizes the trace.Validate result by set identity: a warm
+	// replayer re-running the same set (a batch, a sweep's platform axis, a
+	// benchmark loop) skips it; the memo assumes the caller does not mutate
+	// a set between replays. The weak pointer keeps an idle pooled replayer
+	// from pinning the last trace set it ran (see dropRecs).
+	validated weak.Pointer[trace.Set]
 }
 
 // NewReplayer returns a replayer with cold scratch state.
@@ -373,8 +311,7 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 	// Results never reference the trace records, so drop them on the way
 	// out: an idle pooled replayer must not pin the last trace set it ran.
 	defer s.dropRecs()
-	windows, err := s.runPrepared(ts, cfg)
-	if err != nil {
+	if err := s.runPrepared(ts, cfg); err != nil {
 		return nil, err
 	}
 
@@ -391,7 +328,6 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 	res, tset := &blk.res, &blk.tset
 	res.Network = s.stats
 	res.Steps = s.ranSteps
-	res.Windows = windows
 	tset.Name = ts.Name
 	tset.Variant = ts.Variant
 	tset.Lines = make([]timeline.Timeline, 0, s.nprocs)
@@ -423,12 +359,10 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 }
 
 // runPrepared sizes the platform, resets the scratch state and executes
-// the event loop — sequential or conservative-window parallel, whichever
-// parallelPlan selects — leaving per-rank finish state, stats and step
-// counts in place for the caller to assemble. The trace and config must
-// already be validated. It returns the number of window rounds (0 when
-// sequential).
-func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) (int64, error) {
+// the event loop, leaving per-rank finish state, stats and step counts in
+// place for the caller to assemble. The trace and config must already be
+// validated.
+func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) error {
 	if cfg.Capacity() < ts.NRanks() {
 		cfg = cfg.WithNodes(ts.NRanks())
 	}
@@ -437,29 +371,17 @@ func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) (int64, error)
 		mips = ts.MIPS
 	}
 	s.reset(ts, cfg, mips)
-	var windows int64
-	if shards, lookahead, ok := s.parallelPlan(ts); ok {
-		w, err := s.runParallel(shards, lookahead)
-		if err != nil {
-			return 0, err
-		}
-		windows = w
-	} else {
-		for _, p := range s.procs[:s.nprocs] {
-			s.eng.ScheduleEvent(0, p, evAdvance)
-		}
-		if err := s.eng.Run(); err != nil {
-			return 0, fmt.Errorf("replay: %w", err)
-		}
-		s.ranSteps = s.eng.Steps()
+	for _, p := range s.procs[:s.nprocs] {
+		s.eng.ScheduleEvent(0, p, evAdvance)
 	}
+	if err := s.eng.Run(); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	s.ranSteps = s.eng.Steps()
 	if s.err != nil {
-		return 0, s.err
+		return s.err
 	}
-	if err := s.checkAllFinished(); err != nil {
-		return 0, err
-	}
-	return windows, nil
+	return s.checkAllFinished()
 }
 
 // dropRecs detaches the procs from the trace records so an idle pooled
@@ -557,47 +479,30 @@ func resizeZeroedBool(s []bool, n int) []bool {
 	return s
 }
 
-// newTransfer draws a zeroed transfer from the free list. Under the
-// parallel engine the free list belongs to the root (callers hold the
-// matching lock) and every instance handed out is tracked so the run can
-// recycle them all at the end — mid-run recycling is disabled there.
+// newTransfer draws a zeroed transfer from the free list.
 func (s *Replayer) newTransfer(src, dst, tag int) *transfer {
-	owner := s
-	if s.par != nil {
-		owner = s.par.root
-	}
-	var t *transfer
-	if n := len(owner.freeT); n > 0 {
-		t = owner.freeT[n-1]
-		owner.freeT[n-1] = nil
-		owner.freeT = owner.freeT[:n-1]
+	if n := len(s.freeT); n > 0 {
+		t := s.freeT[n-1]
+		s.freeT[n-1] = nil
+		s.freeT = s.freeT[:n-1]
 		t.src, t.dst, t.tag = src, dst, tag
-	} else {
-		t = &transfer{sim: s, src: src, dst: dst, tag: tag}
+		return t
 	}
-	if s.par != nil {
-		s.par.live = append(s.par.live, t)
-	}
-	return t
+	return &transfer{sim: s, src: src, dst: dst, tag: tag}
 }
 
 // releaseTransfer zeroes the transfer (keeping its waiter capacity) and
 // returns it to the free list.
 func (s *Replayer) releaseTransfer(t *transfer) {
-	*t = transfer{sim: s, waiters: t.waiters[:0], srcWaiters: t.srcWaiters[:0]}
+	*t = transfer{sim: s, waiters: t.waiters[:0]}
 	s.freeT = append(s.freeT, t)
 }
 
 // maybeRelease recycles a transfer once nothing can reference it again:
 // delivered, matched on both sides (so it sits in no channel queue), no
-// live request-table references, and nobody blocked on it. The parallel
-// engine never recycles mid-run (reference counts would race across
-// shards); runParallel sweeps everything back afterwards instead.
+// live request-table references, and nobody blocked on it.
 func (s *Replayer) maybeRelease(t *transfer) {
-	if s.par != nil {
-		return
-	}
-	if t.deliveredSrc && t.deliveredDst && t.sendPosted && t.recvPosted && t.refs == 0 && t.sender == nil && len(t.waiters) == 0 {
+	if t.delivered && t.sendPosted && t.recvPosted && t.refs == 0 && t.sender == nil && len(t.waiters) == 0 {
 		s.releaseTransfer(t)
 	}
 }
@@ -636,9 +541,8 @@ func (s *Replayer) checkAllFinished() error {
 }
 
 // proc is one rank's replay state machine. Completion state lives in the
-// replayer's finish/done arrays (struct-of-arrays: the batch and parallel
-// paths scan those without touching the procs). Under the parallel engine
-// sim points at the shard view owning this rank for the duration of a run.
+// replayer's finish/done arrays (struct-of-arrays: the batch path scans
+// those without touching the procs).
 type proc struct {
 	rank         int
 	recs         []trace.Record
@@ -699,9 +603,7 @@ func (p *proc) advance() {
 			p.pc++
 			t := s.postSend(p.rank, rec)
 			p.reqs[rec.Req] = t
-			if s.par == nil {
-				t.refs++ // recycling is off under the parallel engine
-			}
+			t.refs++
 
 		case trace.KindSend:
 			if p.payOverhead() {
@@ -709,7 +611,7 @@ func (p *proc) advance() {
 			}
 			p.pc++
 			t := s.postSend(p.rank, rec)
-			if !t.eager && !t.deliveredSrc {
+			if !t.eager && !t.delivered {
 				t.sender = p
 				p.tl.Enter(s.eng.Now(), timeline.SendBlocked)
 				return
@@ -722,9 +624,7 @@ func (p *proc) advance() {
 			p.pc++
 			t := s.postRecv(p.rank, rec)
 			p.reqs[rec.Req] = t
-			if s.par == nil {
-				t.refs++
-			}
+			t.refs++
 
 		case trace.KindRecv:
 			if p.payOverhead() {
@@ -732,7 +632,7 @@ func (p *proc) advance() {
 			}
 			p.pc++
 			t := s.postRecv(p.rank, rec)
-			if !t.deliveredDst {
+			if !t.delivered {
 				t.waiters = append(t.waiters, p)
 				p.tl.Enter(s.eng.Now(), timeline.RecvBlocked)
 				return
@@ -749,38 +649,17 @@ func (p *proc) advance() {
 			// The trace validator guarantees each request is waited at most
 			// once, so the table entry can be consumed here.
 			delete(p.reqs, rec.Req)
-			if s.par == nil {
-				t.refs--
-			}
-			// A Wait may sit on either side of the transfer: on an ISend
-			// request this proc is the sender, on an IRecv the receiver.
-			// Each side blocks on its own delivery flag and waiter list so
-			// shards never touch each other's.
-			onSrc := p.rank == t.src && p.rank != t.dst
-			var delivered bool
-			if onSrc {
-				delivered = t.deliveredSrc
-			} else {
-				delivered = t.deliveredDst // never read from the src shard
-			}
-			if !delivered {
-				if s.par != nil && onSrc {
-					t.srcWaiters = append(t.srcWaiters, p)
-				} else {
-					t.waiters = append(t.waiters, p)
-				}
+			t.refs--
+			// A Wait may sit on either side of the transfer (an ISend or an
+			// IRecv request); both resume at delivery.
+			if !t.delivered {
+				t.waiters = append(t.waiters, p)
 				p.tl.Enter(s.eng.Now(), timeline.WaitBlocked)
 				return
 			}
 			s.maybeRelease(t)
 
 		case trace.KindCollective:
-			if s.par != nil {
-				// parallelPlan refuses traces with collectives; reaching
-				// one here means the eligibility scan is broken.
-				s.fail(fmt.Errorf("replay: internal: collective reached the parallel engine"))
-				return
-			}
 			p.pc++
 			slot, ok := s.slots[p.collIdx]
 			if !ok {
@@ -843,45 +722,17 @@ func (s *Replayer) pair(key channelKey) *chanPair {
 }
 
 // enqueue appends the transfer to one of the pair's queues, marking the
-// pair for the next reset. The reset worklist always lives on the root
-// replayer: shard views share one set of matching maps.
+// pair for the next reset.
 func (s *Replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
 	if !pr.dirty {
 		pr.dirty = true
-		owner := s
-		if s.par != nil {
-			owner = s.par.root
-		}
-		owner.dirtyQ = append(owner.dirtyQ, pr)
+		s.dirtyQ = append(s.dirtyQ, pr)
 	}
 	q.push(t)
 }
 
-// claimStart is the parallel engine's start gate, called with the matching
-// lock held: the shard whose post completes the protocol claims the right
-// to route the transfer into the network, so exactly one shard calls
-// startPar — after releasing the lock (the routing only touches the
-// claiming shard's engine and the window inboxes, which have their own
-// synchronization).
-func (s *Replayer) claimStart(t *transfer) bool {
-	if t.started || !t.sendPosted || (!t.eager && !t.recvPosted) {
-		return false
-	}
-	t.started = true
-	t.sim = s // wire/delivery events for t route through the claiming shard
-	return true
-}
-
-// postSend matches or enqueues the sender half of a transfer. Matching
-// state is shared across shards under the parallel engine; one lock
-// serializes both post paths (FIFO pairing stays deterministic because a
-// directed channel's sends all come from one rank and its receives from
-// one rank, each replayed in program order).
+// postSend matches or enqueues the sender half of a transfer.
 func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
-	par := s.par != nil
-	if par {
-		s.par.lock()
-	}
 	key := channelKey{src, rec.Peer, rec.Tag}
 	pr := s.pair(key)
 	var t *transfer
@@ -892,28 +743,15 @@ func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
 		s.enqueue(pr, &pr.send, t)
 	}
 	t.sendPosted = true
-	t.sendAt = s.eng.Now()
 	t.size = rec.Size
 	t.local = s.cfg.SameNode(src, rec.Peer)
 	t.eager = s.cfg.Eager(rec.Size)
-	if par {
-		start := s.claimStart(t)
-		s.par.unlock()
-		if start {
-			s.startPar(t)
-		}
-		return t
-	}
 	s.maybeStart(t)
 	return t
 }
 
 // postRecv matches or enqueues the receiver half of a transfer.
 func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
-	par := s.par != nil
-	if par {
-		s.par.lock()
-	}
 	key := channelKey{rec.Peer, dst, rec.Tag}
 	pr := s.pair(key)
 	var t *transfer
@@ -925,25 +763,13 @@ func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
 		s.enqueue(pr, &pr.recv, t)
 	}
 	t.recvPosted = true
-	t.recvAt = s.eng.Now()
-	if par {
-		start := s.claimStart(t)
-		s.par.unlock()
-		if start {
-			s.startPar(t)
-		}
-		return t
-	}
 	s.maybeStart(t)
 	return t
 }
 
 // maybeStart checks protocol readiness and routes the transfer into the
 // network: local transfers bypass resources; remote ones queue for links
-// and a bus. Sequential engine only — the parallel engine gates starts
-// through claimStart/startPar, which derive delivery from the recorded
-// post instants because the matching shard's clock may lag the transfer's
-// true start time.
+// and a bus.
 func (s *Replayer) maybeStart(t *transfer) {
 	if t.started {
 		return
@@ -1010,10 +836,7 @@ func (s *Replayer) startRemote(t *transfer) {
 }
 
 // wireDone releases the transfer's resources, schedules the delivery one
-// latency later, and hands the freed resources to waiting transfers. Only
-// the sequential engine schedules wire events; the parallel engine holds
-// no resources (it requires a contention-free platform) and folds the
-// wire time into the delivery instant directly (see startPar).
+// latency later, and hands the freed resources to waiting transfers.
 func (s *Replayer) wireDone(t *transfer) {
 	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
 	s.outUse[srcNode]--
@@ -1024,10 +847,8 @@ func (s *Replayer) wireDone(t *transfer) {
 }
 
 // deliver completes the transfer and resumes everything blocked on it.
-// Sequential replay and the parallel same-shard case both come through
-// here; srcWaiters is only ever populated under the parallel engine.
 func (s *Replayer) deliver(t *transfer) {
-	t.deliveredSrc, t.deliveredDst = true, true
+	t.delivered = true
 	s.stats.Transfers++
 	s.stats.Bytes += t.size
 	if t.local {
@@ -1038,10 +859,6 @@ func (s *Replayer) deliver(t *transfer) {
 		t.sender = nil
 		p.advance()
 	}
-	for _, p := range t.srcWaiters {
-		p.advance()
-	}
-	t.srcWaiters = t.srcWaiters[:0]
 	for _, p := range t.waiters {
 		p.advance()
 	}

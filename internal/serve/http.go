@@ -38,8 +38,8 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // DecodeJSON strictly decodes one JSON document into v: unknown fields are
-// rejected so a typoed field fails loudly instead of silently defaulting —
-// the same posture DecodeSweepRequest takes.
+// rejected so a typoed field (a POST /sweeps axis named "latencys", say)
+// fails loudly with a 400 instead of silently sweeping the default.
 func DecodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"overlapsim/internal/cliflag"
 	"overlapsim/internal/sweep"
@@ -80,19 +78,6 @@ func (r SweepRequest) ValidateApprox() error {
 
 // DefaultFormat is the response encoding of requests that omit Format.
 const DefaultFormat = sweep.FormatCSV
-
-// DecodeSweepRequest parses a POST /sweeps body. Unknown fields are
-// rejected so a typoed axis name ("latencys") fails loudly with a 400
-// instead of silently sweeping the default.
-func DecodeSweepRequest(r io.Reader) (SweepRequest, error) {
-	var req SweepRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("decoding request body: %w", err)
-	}
-	return req, nil
-}
 
 // Grid parses the request's axis values into a sweep.Grid. Element errors
 // name the JSON field; grid-level validation (unknown apps, out-of-range

@@ -38,10 +38,6 @@ type Config struct {
 	MaxQueued int
 	// SweepWorkers is each job's engine pool size (0 = one per CPU).
 	SweepWorkers int
-	// ReplayPar, when >= 2, runs each job's eligible replays on the
-	// conservative-window parallel engine at that width. Results are
-	// identical for any value.
-	ReplayPar int
 	// DisableBatch turns off batched warm-replayer execution for
 	// platform-axis grids.
 	DisableBatch bool
@@ -222,16 +218,7 @@ func (s *Server) noteFinished(jb *job) {
 		s.canceled++
 	}
 	if st.Work != nil {
-		s.work.Traces += st.Work.Traces
-		s.work.TraceCacheHits += st.Work.TraceCacheHits
-		s.work.Replays += st.Work.Replays
-		s.work.ReplayMemoHits += st.Work.ReplayMemoHits
-		s.work.ReplayStoreHits += st.Work.ReplayStoreHits
-		s.work.BatchedReplays += st.Work.BatchedReplays
-		s.work.ParallelWindows += st.Work.ParallelWindows
-		s.work.PredictedPoints += st.Work.PredictedPoints
-		s.work.SpotCheckReplays += st.Work.SpotCheckReplays
-		s.work.DemotedFamilies += st.Work.DemotedFamilies
+		s.work = s.work.Add(*st.Work)
 	}
 }
 
@@ -244,8 +231,8 @@ func (s *Server) lookup(id string) *job {
 
 // handleSubmit is POST /sweeps: decode, validate, admit, run, stream.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeSweepRequest(r.Body)
-	if err != nil {
+	var req SweepRequest
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
@@ -364,7 +351,6 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 	runner := sweep.NewRunner(s.cfg.Base)
 	runner.Size = jb.size
 	runner.Iters = jb.iters
-	runner.ReplayPar = s.cfg.ReplayPar
 	runner.DisableBatch = s.cfg.DisableBatch
 	runner.Approx = jb.approx.enabled
 	runner.ApproxMaxErr = jb.approx.maxErr
@@ -530,7 +516,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			st.Jobs.Queued++
 		}
 	}
-	st.Work = workJSON(s.work)
+	st.Work = s.work
 	s.mu.Unlock()
 	st.UptimeSeconds = int64(time.Since(s.start).Seconds())
 	WriteJSON(w, http.StatusOK, st)

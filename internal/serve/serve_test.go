@@ -486,12 +486,13 @@ func TestQueueAdmission(t *testing.T) {
 // TestSweepRequestGrid: the JSON projection parses into the same grid the
 // CLI flags would build, and element errors name the JSON field.
 func TestSweepRequestGrid(t *testing.T) {
-	req, err := DecodeSweepRequest(strings.NewReader(`{
+	var req SweepRequest
+	err := DecodeJSON(strings.NewReader(`{
 		"apps": ["pingpong"], "ranks": [4], "bandwidths": ["64MB/s", "1GB/s"],
 		"chunks": [4, 8], "mechanisms": ["none", "both"], "patterns": ["linear"],
 		"latencies": ["5us"], "buses": [1], "ranks_per_node": [2],
 		"eager_thresholds": ["0", "32KB", "all"], "collectives": ["log"]
-	}`))
+	}`), &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,13 +516,19 @@ func TestSweepRequestGrid(t *testing.T) {
 		{`{"apps":["x"],"mechanisms":["psychic"]}`, "mechanisms"},
 		{`{"apps":["x"],"eager_thresholds":["tiny"]}`, "eager_thresholds"},
 	} {
-		req, err := DecodeSweepRequest(strings.NewReader(tc.body))
-		if err != nil {
+		var req SweepRequest
+		if err := DecodeJSON(strings.NewReader(tc.body), &req); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := req.Grid(); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: error %v should name %q", tc.body, err, tc.field)
 		}
+	}
+
+	// A typoed axis fails the decode itself, and the error says where.
+	err = DecodeJSON(strings.NewReader(`{"apps":["x"],"latencys":["5us"]}`), &req)
+	if want := `decoding request body: json: unknown field "latencys"`; err == nil || err.Error() != want {
+		t.Errorf("unknown field: error %v, want %q", err, want)
 	}
 }
 
@@ -551,18 +558,15 @@ func TestServeCancelAll(t *testing.T) {
 	}
 }
 
-// TestServeBatchedParallelCounters: a daemon configured with ReplayPar on a
-// contention-free base reports the batched-replay and parallel-window work
-// both per job and in the /stats aggregate.
-func TestServeBatchedParallelCounters(t *testing.T) {
-	base := machine.Default()
-	base.InLinks, base.OutLinks = 0, 0
-	s := New(Config{Base: base, CacheDir: t.TempDir(), ReplayPar: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// batchedBody is a platform-axis-only request: one workload on three
+// latencies, which the runner routes through the batched replayer.
+const batchedBody = `{"apps":["ring"],"ranks":[16],"buses":[0],"latencies":["5us","20us","50us"],"iters":2,"format":"csv"}`
 
-	body := `{"apps":["ring"],"ranks":[16],"buses":[0],"latencies":["5us","20us","50us"],"iters":2,"format":"csv"}`
-	resp := postSweep(t, ts.URL, body)
+// runToDone posts body to a fresh server and drains the streamed response,
+// failing unless the job ends ok.
+func runToDone(t *testing.T, url, body string) {
+	t.Helper()
+	resp := postSweep(t, url, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal(resp.Status)
 	}
@@ -573,31 +577,80 @@ func TestServeBatchedParallelCounters(t *testing.T) {
 	if got := resp.Trailer.Get("X-Overlapsim-Status"); got != "ok" {
 		t.Fatalf("status trailer %q, want ok", got)
 	}
+}
 
-	st := getStatus(t, ts.URL, "job-1")
-	if st.State != JobDone || st.Work == nil {
-		t.Fatalf("status %+v", st)
-	}
-	if st.Work.BatchedReplays == 0 {
-		t.Errorf("platform-axis job reported no batched replays: %+v", *st.Work)
-	}
-	if st.Work.ParallelWindows == 0 {
-		t.Errorf("ReplayPar daemon reported no parallel windows: %+v", *st.Work)
+// TestServeWorkDocumentsGolden pins the exact bytes of an exact-mode job's
+// `work` object and of the /stats document after two identical jobs: the
+// field names, their order, and the omitted surrogate counters are API,
+// and /stats must sum the cold job's batched replays with the warm job's
+// store hits.
+func TestServeWorkDocumentsGolden(t *testing.T) {
+	s := New(Config{CacheDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	runToDone(t, ts.URL, batchedBody)
+	runToDone(t, ts.URL, batchedBody)
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 
-	sr, err := http.Get(ts.URL + "/stats")
-	if err != nil {
+	var job struct{ Work json.RawMessage }
+	if err := json.Unmarshal(get("/sweeps/job-1"), &job); err != nil {
 		t.Fatal(err)
 	}
-	defer sr.Body.Close()
-	var stats StatsJSON
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+	const wantWork = `{
+    "traces": 1,
+    "trace_cache_hits": 0,
+    "replays": 6,
+    "replay_memo_hits": 0,
+    "replay_store_hits": 0,
+    "batched_replays": 6
+  }`
+	if string(job.Work) != wantWork {
+		t.Errorf("job work document:\n%s\nwant:\n%s", job.Work, wantWork)
 	}
-	if stats.Work.BatchedReplays != st.Work.BatchedReplays ||
-		stats.Work.ParallelWindows != st.Work.ParallelWindows {
-		t.Errorf("/stats does not aggregate the new counters: stats %+v, job %+v",
-			stats.Work, *st.Work)
+
+	// Uptime is the one wall-clock field; everything else is pinned.
+	stats := get("/stats")
+	if i := bytes.Index(stats, []byte(`"uptime_seconds": `)); i >= 0 {
+		j := i + len(`"uptime_seconds": `)
+		k := j + bytes.IndexByte(stats[j:], '\n')
+		stats = append(stats[:j:j], append([]byte("U"), stats[k:]...)...)
+	}
+	const wantStats = `{
+  "jobs": {
+    "submitted": 2,
+    "rejected": 0,
+    "completed": 2,
+    "failed": 0,
+    "canceled": 0,
+    "running": 0,
+    "queued": 0
+  },
+  "work": {
+    "traces": 1,
+    "trace_cache_hits": 1,
+    "replays": 6,
+    "replay_memo_hits": 0,
+    "replay_store_hits": 6,
+    "batched_replays": 6
+  },
+  "uptime_seconds": U
+}
+`
+	if string(stats) != wantStats {
+		t.Errorf("/stats document:\n%s\nwant:\n%s", stats, wantStats)
 	}
 }
 

@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"overlapsim/internal/analytic"
 	"overlapsim/internal/sweep/surrogate"
@@ -362,7 +363,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 		if err != nil {
 			return
 		}
-		r.ctSpotChecks.Add(1)
+		atomic.AddInt64(&r.work.SpotCheckReplays, 1)
 		if surrogate.RelErr(float64(results[pos].TOriginal), float64(exact.TOriginal)) > maxErr ||
 			surrogate.RelErr(float64(results[pos].TOverlap), float64(exact.TOverlap)) > maxErr {
 			demote = true
@@ -371,7 +372,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 	}
 
 	if demote {
-		r.ctDemoted.Add(1)
+		atomic.AddInt64(&r.work.DemotedFamilies, 1)
 		for pos, m := range pl.members {
 			if present[pos] && !results[pos].Approx {
 				out[m.idx] = results[pos] // anchors and spot checks stay: they are exact
@@ -391,7 +392,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 			predicted++
 		}
 	}
-	r.ctPredicted.Add(predicted)
+	atomic.AddInt64(&r.work.PredictedPoints, predicted)
 }
 
 // predictInterpolated fills the non-anchor members of a continuous-axis

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"sync/atomic"
+
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/replay"
@@ -132,14 +134,13 @@ func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
 		return // leave a lone fill to the normal path
 	}
 	out := make([]replay.Summary, len(missing))
-	n, _ := replay.SimulateBatch(ts, missing, out, r.ReplayPar)
+	n, _ := replay.SimulateBatch(ts, missing, out, 0)
 	// On error the completed prefix is still valid; the failing point's
 	// entry stays unfilled so RunPoint reports the error in context.
 	for i := 0; i < n; i++ {
 		m, sum := missing[i], out[i]
-		r.ctReplays.Add(1)
-		r.ctBatched.Add(1)
-		r.ctWindows.Add(sum.Windows)
+		atomic.AddInt64(&r.work.Replays, 1)
+		atomic.AddInt64(&r.work.BatchedReplays, 1)
 		blocked := sum.Blocked
 		key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
 		key.platform.Name = ""

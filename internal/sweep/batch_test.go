@@ -9,8 +9,7 @@ import (
 )
 
 // batchGrid is a platform-axis-only grid: one workload, one variant, three
-// platforms. Buses is pinned to 0 so the platforms are contention-free —
-// the domain both the batch path and the parallel engine target.
+// platforms, with no bus limit.
 func batchGrid() Grid {
 	return Grid{
 		Apps:      []string{"ring"},
@@ -24,32 +23,34 @@ func batchGrid() Grid {
 // routing a platform axis through the batched warm replayer changes no
 // result and no counter except the BatchedReplays subset itself.
 func TestBatchPrefillMatchesUnbatched(t *testing.T) {
-	g := batchGrid()
-	plain := NewRunner(machine.Default())
-	plain.DisableBatch = true
-	want, err := plain.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched := NewRunner(machine.Default())
-	got, err := batched.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched sweep diverges from unbatched:\ngot:  %+v\nwant: %+v", got, want)
-	}
-	ps, bs := plain.Stats(), batched.Stats()
-	if bs.BatchedReplays == 0 {
-		t.Fatal("platform-axis grid did not engage the batch path")
-	}
-	if ps.BatchedReplays != 0 {
-		t.Fatalf("DisableBatch runner reported %d batched replays", ps.BatchedReplays)
-	}
-	bs.BatchedReplays, bs.ParallelWindows = 0, 0
-	ps.ParallelWindows = 0
-	if bs != ps {
-		t.Fatalf("batching changed the work accounting:\nbatched:   %+v\nunbatched: %+v", bs, ps)
+	for _, buses := range []int{0, 1} { // 1: transfers queue for the bus
+		g := batchGrid()
+		g.Buses = []int{buses}
+		plain := NewRunner(machine.Default())
+		plain.DisableBatch = true
+		want, err := plain.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched := NewRunner(machine.Default())
+		got, err := batched.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("buses=%d: batched sweep diverges from unbatched:\ngot:  %+v\nwant: %+v", buses, got, want)
+		}
+		ps, bs := plain.Stats(), batched.Stats()
+		if bs.BatchedReplays == 0 {
+			t.Fatalf("buses=%d: platform-axis grid did not engage the batch path", buses)
+		}
+		if ps.BatchedReplays != 0 {
+			t.Fatalf("buses=%d: DisableBatch runner reported %d batched replays", buses, ps.BatchedReplays)
+		}
+		bs.BatchedReplays = 0
+		if bs != ps {
+			t.Fatalf("buses=%d: batching changed the work accounting:\nbatched:   %+v\nunbatched: %+v", buses, bs, ps)
+		}
 	}
 }
 
@@ -77,39 +78,6 @@ func TestBatchPrefillWarmRerun(t *testing.T) {
 	}
 	if d.ReplayMemoHits == 0 {
 		t.Fatalf("warm rerun took no memo hits: %+v", d)
-	}
-}
-
-// TestBatchPrefillParallelWindows: with ReplayPar set, the batched replays
-// run on the parallel engine and the runner accounts the window rounds.
-// The results must still match a sequential, unbatched runner exactly.
-func TestBatchPrefillParallelWindows(t *testing.T) {
-	g := batchGrid()
-	// The parallel engine requires a fully contention-free platform: the
-	// grid pins Buses to 0 but per-node link limits come from the base.
-	base := machine.Default()
-	base.InLinks, base.OutLinks = 0, 0
-	plain := NewRunner(base)
-	plain.DisableBatch = true
-	want, err := plain.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := NewRunner(base)
-	par.ReplayPar = 4
-	got, err := par.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel batched sweep diverges from sequential unbatched")
-	}
-	st := par.Stats()
-	if st.ParallelWindows == 0 {
-		t.Fatal("ReplayPar runner executed no parallel windows")
-	}
-	if plain.Stats().ParallelWindows != 0 {
-		t.Fatal("sequential runner reported parallel windows")
 	}
 }
 

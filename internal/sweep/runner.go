@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +24,12 @@ import (
 // on its platform. All methods are safe for concurrent use; the engine's
 // workers share the caches.
 type Runner struct {
+	// work holds the live counters. Every access goes through the
+	// sync/atomic functions; the fields stay plain int64 so Stats can copy
+	// them out through counterTable, the one list of counters. It comes
+	// first so its fields stay 64-bit aligned on 32-bit platforms.
+	work Counters
+
 	// Base is the platform every point starts from; a point's Bandwidth
 	// (when non-negative) overrides the base network bandwidth.
 	Base machine.Config
@@ -39,11 +46,6 @@ type Runner struct {
 	// must not discard a trace that just succeeded. The first failed write
 	// is reported by CacheStoreErr.
 	Cache *TraceCache
-	// ReplayPar, when >= 2, enables the conservative-window parallel replay
-	// engine: each eligible replay is sharded across up to ReplayPar private
-	// event queues (see replay.Replayer.Parallel). Results are identical to
-	// sequential replay; ineligible points fall back automatically.
-	ReplayPar int
 	// DisableBatch turns off batched warm-replayer execution. By default a
 	// grid that varies only platform axes for a workload routes all its
 	// missing replays through one warm Replayer (replay.SimulateBatch)
@@ -76,99 +78,101 @@ type Runner struct {
 	pipes    map[pipeKey]*pipeline
 	memos    map[memoKey]*memoEntry
 	storeErr error
-
-	ctTraces     atomic.Int64
-	ctTraceHits  atomic.Int64
-	ctReplays    atomic.Int64
-	ctMemoHits   atomic.Int64
-	ctStoreHits  atomic.Int64
-	ctBatched    atomic.Int64
-	ctWindows    atomic.Int64
-	ctPredicted  atomic.Int64
-	ctSpotChecks atomic.Int64
-	ctDemoted    atomic.Int64
 }
 
 // Counters is a snapshot of the runner's work and cache-hit accounting —
-// the observable evidence that the caching layers actually cut work.
+// the observable evidence that the caching layers actually cut work. It
+// is also the `work` document of the serve API, hence the JSON tags.
 type Counters struct {
 	// Traces counts instrumented application runs executed by this runner.
-	Traces int64
+	Traces int64 `json:"traces"`
 	// TraceCacheHits counts workloads served from the persistent cache.
-	TraceCacheHits int64
+	TraceCacheHits int64 `json:"trace_cache_hits"`
 	// Replays counts DES replays actually simulated.
-	Replays int64
+	Replays int64 `json:"replays"`
 	// ReplayMemoHits counts replays answered from the in-memory memo.
-	ReplayMemoHits int64
+	ReplayMemoHits int64 `json:"replay_memo_hits"`
 	// ReplayStoreHits counts replays answered from the persistent store —
 	// work a previous process already paid for. A warm re-run of an
 	// identical sweep shows Traces == 0 and Replays == 0 here.
-	ReplayStoreHits int64
+	ReplayStoreHits int64 `json:"replay_store_hits"`
 	// BatchedReplays counts the subset of Replays executed through the
 	// batched warm-replayer path (one warm Replayer over a platform axis).
-	BatchedReplays int64
-	// ParallelWindows counts conservative-window rounds executed by the
-	// parallel replay engine; 0 means every replay ran sequentially.
-	ParallelWindows int64
+	BatchedReplays int64 `json:"batched_replays"`
 	// PredictedPoints counts grid points answered by surrogate
-	// interpolation instead of replay (-approx); 0 in exact mode.
-	PredictedPoints int64
+	// interpolation instead of replay (-approx); 0 in exact mode. It and
+	// the two surrogate counters below are omitted from JSON when zero,
+	// so exact-mode documents are unchanged from earlier releases.
+	PredictedPoints int64 `json:"predicted_points,omitempty"`
 	// SpotCheckReplays counts the predicted points the error gate
 	// replayed exactly to validate their families.
-	SpotCheckReplays int64
+	SpotCheckReplays int64 `json:"spot_check_replays,omitempty"`
 	// DemotedFamilies counts interpolation families whose spot checks
 	// exceeded the error bound and were demoted to full replay.
-	DemotedFamilies int64
+	DemotedFamilies int64 `json:"demoted_families,omitempty"`
+}
+
+// counterTable lists every work counter once, in the order the work lines
+// print them. Surrogate counters are printed only by -approx runs.
+var counterTable = []struct {
+	label     string
+	field     func(*Counters) *int64
+	surrogate bool
+}{
+	{"instrumented runs", func(c *Counters) *int64 { return &c.Traces }, false},
+	{"trace-cache hits", func(c *Counters) *int64 { return &c.TraceCacheHits }, false},
+	{"replays", func(c *Counters) *int64 { return &c.Replays }, false},
+	{"replay-memo hits", func(c *Counters) *int64 { return &c.ReplayMemoHits }, false},
+	{"replay-store hits", func(c *Counters) *int64 { return &c.ReplayStoreHits }, false},
+	{"batched replays", func(c *Counters) *int64 { return &c.BatchedReplays }, false},
+	{"predicted points", func(c *Counters) *int64 { return &c.PredictedPoints }, true},
+	{"spot-check replays", func(c *Counters) *int64 { return &c.SpotCheckReplays }, true},
+	{"demoted families", func(c *Counters) *int64 { return &c.DemotedFamilies }, true},
 }
 
 // Add returns the fieldwise sum of two counter snapshots — used to fold
 // per-worker work accounting into campaign totals.
 func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Traces:           c.Traces + o.Traces,
-		TraceCacheHits:   c.TraceCacheHits + o.TraceCacheHits,
-		Replays:          c.Replays + o.Replays,
-		ReplayMemoHits:   c.ReplayMemoHits + o.ReplayMemoHits,
-		ReplayStoreHits:  c.ReplayStoreHits + o.ReplayStoreHits,
-		BatchedReplays:   c.BatchedReplays + o.BatchedReplays,
-		ParallelWindows:  c.ParallelWindows + o.ParallelWindows,
-		PredictedPoints:  c.PredictedPoints + o.PredictedPoints,
-		SpotCheckReplays: c.SpotCheckReplays + o.SpotCheckReplays,
-		DemotedFamilies:  c.DemotedFamilies + o.DemotedFamilies,
+	for _, e := range counterTable {
+		*e.field(&c) += *e.field(&o)
 	}
+	return c
 }
 
 // Sub returns the fieldwise difference c - o: the work done between two
 // snapshots of the same runner.
 func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Traces:           c.Traces - o.Traces,
-		TraceCacheHits:   c.TraceCacheHits - o.TraceCacheHits,
-		Replays:          c.Replays - o.Replays,
-		ReplayMemoHits:   c.ReplayMemoHits - o.ReplayMemoHits,
-		ReplayStoreHits:  c.ReplayStoreHits - o.ReplayStoreHits,
-		BatchedReplays:   c.BatchedReplays - o.BatchedReplays,
-		ParallelWindows:  c.ParallelWindows - o.ParallelWindows,
-		PredictedPoints:  c.PredictedPoints - o.PredictedPoints,
-		SpotCheckReplays: c.SpotCheckReplays - o.SpotCheckReplays,
-		DemotedFamilies:  c.DemotedFamilies - o.DemotedFamilies,
+	for _, e := range counterTable {
+		*e.field(&c) -= *e.field(&o)
 	}
+	return c
+}
+
+// WorkLine renders the counters as the body of the CLI's `work:` line:
+// "N instrumented runs, N trace-cache hits, ...". The surrogate counters
+// are appended only when approx is set, so exact-mode stderr stays
+// byte-identical to earlier releases.
+func (c Counters) WorkLine(approx bool) string {
+	var b strings.Builder
+	for _, e := range counterTable {
+		if e.surrogate && !approx {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%d %s", *e.field(&c), e.label)
+	}
+	return b.String()
 }
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Counters {
-	return Counters{
-		Traces:           r.ctTraces.Load(),
-		TraceCacheHits:   r.ctTraceHits.Load(),
-		Replays:          r.ctReplays.Load(),
-		ReplayMemoHits:   r.ctMemoHits.Load(),
-		ReplayStoreHits:  r.ctStoreHits.Load(),
-		BatchedReplays:   r.ctBatched.Load(),
-		ParallelWindows:  r.ctWindows.Load(),
-		PredictedPoints:  r.ctPredicted.Load(),
-		SpotCheckReplays: r.ctSpotChecks.Load(),
-		DemotedFamilies:  r.ctDemoted.Load(),
+	var c Counters
+	for _, e := range counterTable {
+		*e.field(&c) = atomic.LoadInt64(e.field(&r.work))
 	}
+	return c
 }
 
 type pipeKey struct {
@@ -223,7 +227,7 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 				return
 			}
 			if ps != nil {
-				r.ctTraceHits.Add(1)
+				atomic.AddInt64(&r.work.TraceCacheHits, 1)
 				p.ps = ps
 				return
 			}
@@ -233,7 +237,7 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 			p.err = err
 			return
 		}
-		r.ctTraces.Add(1)
+		atomic.AddInt64(&r.work.Traces, 1)
 		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: key.chunks})
 		if p.err == nil && r.Cache != nil {
 			if err := r.Cache.Store(cacheKey, p.ps); err != nil {
@@ -316,27 +320,26 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 	}
 	r.mu.Unlock()
 	if hit {
-		r.ctMemoHits.Add(1)
+		atomic.AddInt64(&r.work.ReplayMemoHits, 1)
 	}
 	e.once.Do(func() {
 		var storeKey string
 		if r.Store != nil {
 			storeKey = r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
 			if sr := r.Store.Load(storeKey); sr != nil {
-				r.ctStoreHits.Add(1)
+				atomic.AddInt64(&r.work.ReplayStoreHits, 1)
 				e.total = sr.Total
 				e.steps = sr.Steps
 				e.blocked = sr.Blocked
 				return
 			}
 		}
-		r.ctReplays.Add(1)
-		res, err := replay.SimulatePar(ts, m, r.ReplayPar)
+		atomic.AddInt64(&r.work.Replays, 1)
+		res, err := replay.Simulate(ts, m)
 		if err != nil {
 			e.err = err
 			return
 		}
-		r.ctWindows.Add(res.Windows)
 		e.total = res.Total
 		e.steps = res.Steps
 		e.blocked = res.MeanBlockedFraction()

@@ -10,7 +10,7 @@ CACHE ?= trace-cache
 DIR ?= campaign-work
 ARGS ?= -apps pingpong -bws 64MB/s,256MB/s -chunks 4,8 -size 512 -iters 2
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare campaign serve lint fmt fuzz
+.PHONY: all build test race bench bench-smoke bench-json bench-compare paper-check campaign serve lint fmt fuzz
 
 # Per-target fuzzing budget for the fuzz target (Go duration).
 FUZZTIME ?= 20s
@@ -43,7 +43,7 @@ bench-smoke:
 # failure fails the target instead of archiving a silently truncated record.
 bench-json:
 	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayBatchWarm$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
+		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
 		./internal/des ./internal/replay ./internal/sweep . > BENCH_PR10.txt
 	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH_PR10.json < BENCH_PR10.txt
 	@echo wrote BENCH_PR10.json
@@ -56,6 +56,16 @@ bench-json:
 bench-compare: bench-json
 	$(GO) run ./cmd/benchjson compare docs/bench-baseline.json BENCH_PR10.json \
 		-threshold 300% -allocs-threshold 10%
+
+# Paper-regeneration gate: `overlapsim run all` and `run -quick all` must
+# reproduce the outputs whose SHA-256 digests docs/paper-output.sha256
+# pins, byte for byte. Both run on contended presets, so any change to the
+# replay model or its network arbitration shows up here.
+paper-check:
+	$(GO) build -o overlapsim ./cmd/overlapsim
+	./overlapsim run all > paper-all.out
+	./overlapsim run -quick all > paper-quick.out
+	sha256sum -c docs/paper-output.sha256
 
 # One-command local scale-out: a fault-tolerant `overlapsim campaign`
 # coordinator feeding N spawned worker processes through leases with

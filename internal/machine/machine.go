@@ -221,7 +221,11 @@ func (c Config) Capacity() int { return c.Nodes * c.RanksPerNode }
 
 // NodeOf returns the node hosting the given rank (block placement, as in
 // Dimemas: ranks 0..RanksPerNode-1 on node 0, and so on).
-func (c Config) NodeOf(rank int) int {
+//
+// NodeOf and the other per-message queries below take a pointer receiver:
+// the replay calls them once per transfer, and a value receiver would copy
+// the whole Config on every call.
+func (c *Config) NodeOf(rank int) int {
 	if c.RanksPerNode <= 0 {
 		return rank
 	}
@@ -229,11 +233,11 @@ func (c Config) NodeOf(rank int) int {
 }
 
 // SameNode reports whether two ranks share a node.
-func (c Config) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
+func (c *Config) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
 
 // Eager reports whether a message of the given size uses the eager
 // protocol on this platform.
-func (c Config) Eager(size units.Bytes) bool {
+func (c *Config) Eager(size units.Bytes) bool {
 	if c.EagerThreshold < 0 {
 		return true
 	}
@@ -242,12 +246,12 @@ func (c Config) Eager(size units.Bytes) bool {
 
 // TransferTime returns the wire time (excluding latency and queueing) for a
 // remote transfer of the given size.
-func (c Config) TransferTime(size units.Bytes) units.Duration {
+func (c *Config) TransferTime(size units.Bytes) units.Duration {
 	return c.Bandwidth.TransferTime(size)
 }
 
 // LocalTransferTime returns the wire time for an intra-node transfer.
-func (c Config) LocalTransferTime(size units.Bytes) units.Duration {
+func (c *Config) LocalTransferTime(size units.Bytes) units.Duration {
 	return c.LocalBandwidth.TransferTime(size)
 }
 

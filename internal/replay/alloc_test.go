@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"overlapsim/internal/machine"
 	"overlapsim/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func mixedSet() *trace.Set {
 // after an errored run — must produce results identical to a cold Simulate.
 func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 	cfg := testConfig()
-	cfg.Buses = 1 // force resource queueing through the pending path
+	cfg.Buses = 1 // force transfers onto the wait queues
 	sets := []*trace.Set{mixedSet(), pipelineSet(), mixedSet()}
 	r := NewReplayer()
 	for round := 0; round < 3; round++ {
@@ -103,26 +104,33 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
 // summary path — what every batched sweep point pays. Result assembly is
 // the only allocation Simulate makes when warm, and SimulateSummary skips
-// it.
+// it. The contended leg keeps transfers waiting for a bus and links, so
+// the wait queues must reuse their storage too.
 func TestSummarySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
-	ts := pipelineSet()
-	cfg := testConfig()
-	r := NewReplayer()
-	for i := 0; i < 3; i++ {
-		if _, err := r.SimulateSummary(ts, cfg); err != nil {
-			t.Fatal(err)
+	contended := testConfig()
+	contended.Buses, contended.InLinks, contended.OutLinks = 1, 1, 1
+	for _, c := range []struct {
+		ts  *trace.Set
+		cfg machine.Config
+	}{{pipelineSet(), testConfig()}, {mixedSet(), contended}} {
+		ts, cfg := c.ts, c.cfg
+		r := NewReplayer()
+		for i := 0; i < 3; i++ {
+			if _, err := r.SimulateSummary(ts, cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.SimulateSummary(ts, cfg); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := r.SimulateSummary(ts, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s with %d buses: warm SimulateSummary allocates %.1f/run, budget 0", ts.Name, cfg.Buses, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("warm SimulateSummary allocates %.1f/run, budget 0", allocs)
 	}
 }
 

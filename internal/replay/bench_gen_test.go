@@ -66,3 +66,58 @@ func BenchmarkReplayGen64Seq(b *testing.B) {
 		}
 	}
 }
+
+// contended64 generates the arbitration benchmark workload once per
+// process: 64 ranks on a seeded random graph with expected out-degree 8 and
+// 16 KB eager messages, so senders run ahead of their receivers and
+// dozens of transfers queue at once.
+var contended64 = sync.OnceValues(func() (*trace.Set, error) {
+	spec, err := tracegen.ParseSpec("gen:randomsparse,ranks=64,iters=4,msg=16384,comp=20000,deg=8,seed=11")
+	if err != nil {
+		return nil, err
+	}
+	ps, err := tracegen.Generate(spec, tracer.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return ps.Original, nil
+})
+
+// contendedConfig is the default platform with one shared bus and two
+// ranks per node behind single links: transfers queue on the bus and on
+// both link directions.
+func contendedConfig() machine.Config {
+	c := machine.Default()
+	c.Buses = 1
+	c.RanksPerNode, c.InLinks, c.OutLinks = 2, 1, 1
+	return c
+}
+
+// BenchmarkReplayContended times the network arbitration layer: the warm
+// summary path on a workload that keeps the bus saturated and the wait
+// queue deep.
+func BenchmarkReplayContended(b *testing.B) {
+	ts, err := contended64()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := contendedConfig()
+	r := NewReplayer()
+	if _, err := r.SimulateSummary(ts, cfg); err != nil {
+		b.Fatal(err)
+	}
+	res, err := r.Simulate(ts, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if u := res.Network.BusUtilization(cfg.Buses, res.Total); u < 0.9 || res.Network.MaxPending < 32 {
+		b.Fatalf("workload not contended: bus utilization %.2f, max pending %d", u, res.Network.MaxPending)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -15,6 +15,17 @@
 // couples the sender to the posted receive. The output is a per-rank state
 // timeline plus network statistics, ready for the visualization stage.
 //
+// # Network arbitration
+//
+// Remote transfers wait for their links and a bus in FIFO-with-skip order:
+// when resources free up, waiting transfers start in post order and a
+// blocked one never stalls a later one that can go. Each waiting transfer
+// is threaded through three intrusive wait queues (all waiting transfers
+// in post order, per source node, per destination node), so a post checks
+// only the new transfer and a release walks only the transfers it could
+// let through. docs/ARCHITECTURE.md ("Network arbitration") gives the
+// invariant this rests on.
+//
 // # Allocation-free hot path
 //
 // Replay throughput bounds sweep scale — every grid point, shard and

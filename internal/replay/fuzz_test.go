@@ -9,14 +9,22 @@ import (
 	"overlapsim/internal/trace"
 )
 
+// fuzzReplayAdded are FuzzReplay's in-code seeds; TestContendedReplayGolden
+// replays them too.
+var fuzzReplayAdded = []string{
+	"H 2 1000 \"a\" \"o\"\nT 0\nC 10\nS 1 0 64\nG barrier 0 0\nT 1\nC 20\nR 0 0 64\nG barrier 0 0\n",
+	// Collective-free pairwise exchange across two node pairs.
+	"H 4 1000 \"par\" \"o\"\nT 0\nC 100\nS 1 0 64\nR 1 1 64\nT 1\nC 120\nR 0 0 64\nS 0 1 64\nT 2\nC 90\nS 3 2 64\nR 3 3 64\nT 3\nC 80\nR 2 2 64\nS 2 3 64\n",
+}
+
 // FuzzReplay drives the simulator with arbitrary decoded-and-validated trace
 // sets: Simulate must terminate without panicking and produce the same result
 // twice. Sets that fail Validate are out of contract and skipped, as are
 // very large ones (the fuzzer makes no progress exploring size, only shape).
 func FuzzReplay(f *testing.F) {
-	f.Add([]byte("H 2 1000 \"a\" \"o\"\nT 0\nC 10\nS 1 0 64\nG barrier 0 0\nT 1\nC 20\nR 0 0 64\nG barrier 0 0\n"))
-	// Collective-free pairwise exchange across two node pairs.
-	f.Add([]byte("H 4 1000 \"par\" \"o\"\nT 0\nC 100\nS 1 0 64\nR 1 1 64\nT 1\nC 120\nR 0 0 64\nS 0 1 64\nT 2\nC 90\nS 3 2 64\nR 3 3 64\nT 3\nC 80\nR 2 2 64\nS 2 3 64\n"))
+	for _, s := range fuzzReplayAdded {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := trace.Read(bytes.NewReader(data))
 		if err != nil {
@@ -51,16 +59,14 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("replay nondeterministic: total %v/%v steps %d/%d",
 				res.Total, res2.Total, res.Steps, res2.Steps)
 		}
-		// Contended platforms: one shared bus, and two ranks per node
-		// behind single links, so transfers queue in the drain loop. A
-		// fresh replayer must agree with a pooled warm one, and the batch
-		// path with one Simulate per config.
-		base := machine.Default()
-		bus1 := base
-		bus1.Buses = 1
-		rpn2 := base
-		rpn2.RanksPerNode, rpn2.InLinks, rpn2.OutLinks = 2, 1, 1
-		cfgs := []machine.Config{base, bus1, rpn2}
+		// The default platform, then the golden test's contended ones
+		// (fewer buses, shared or doubled links), so transfers wait for
+		// resources. A fresh replayer must agree with a pooled warm one,
+		// and the batch path with one Simulate per config.
+		cfgs := []machine.Config{machine.Default()}
+		for _, p := range contendedPlatforms() {
+			cfgs = append(cfgs, p.cfg)
+		}
 		out := make([]Summary, len(cfgs))
 		n, berr := SimulateBatch(ts, cfgs, out, 0)
 		for i, c := range cfgs {

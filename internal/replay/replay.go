@@ -208,11 +208,12 @@ func (q *chanQueue) reset() {
 // and the object returns to the pool once delivered, fully matched, and
 // unreferenced.
 type transfer struct {
-	sim           *Replayer
-	src, dst, tag int
-	size          units.Bytes
-	local         bool
-	eager         bool
+	sim              *Replayer
+	src, dst         int
+	srcNode, dstNode int // set when the sender posts
+	size             units.Bytes
+	local            bool
+	eager            bool
 
 	sendPosted, recvPosted bool
 	started                bool
@@ -221,6 +222,57 @@ type transfer struct {
 	refs    int     // live request-table references
 	sender  *proc   // blocked rendezvous sender, resumed at delivery
 	waiters []*proc // procs blocked on delivery (receivers and Wait callers)
+}
+
+// The wait queues a waiting transfer is on: all waiting transfers in post
+// order, those leaving its source node (output links), and those entering
+// its destination node (input links).
+const (
+	qAll = iota
+	qOut
+	qIn
+	nQueues
+)
+
+// waitEntry is a waiting transfer's place on the three wait queues, kept
+// apart from the transfer so that transfers which never wait stay small.
+// It repeats the transfer's nodes so that a queue walk reads only entries.
+// Entries come from the replayer's free list and return to it when their
+// transfer starts.
+type waitEntry struct {
+	t                *transfer
+	srcNode, dstNode int
+	seq              uint64 // post order
+	links            [nQueues]struct{ prev, next *waitEntry }
+}
+
+// waitQueue is an intrusive FIFO of wait entries threaded through their
+// links[k], for one k: push and remove are O(1) and never allocate.
+type waitQueue struct{ head, tail *waitEntry }
+
+func (q *waitQueue) push(w *waitEntry, k int) {
+	l := &w.links[k]
+	l.prev, l.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.links[k].next = w
+	} else {
+		q.head = w
+	}
+	q.tail = w
+}
+
+func (q *waitQueue) remove(w *waitEntry, k int) {
+	l := &w.links[k]
+	if l.prev != nil {
+		l.prev.links[k].next = l.next
+	} else {
+		q.head = l.next
+	}
+	if l.next != nil {
+		l.next.links[k].prev = l.prev
+	} else {
+		q.tail = l.prev
+	}
 }
 
 // HandleEvent dispatches the transfer's typed events.
@@ -262,12 +314,20 @@ type Replayer struct {
 	finish []units.Time // per-rank finish instants (struct-of-arrays)
 	done   []bool       // per-rank completion flags
 
-	chans   map[channelKey]*chanPair
-	dirtyQ  []*chanPair // pairs pushed to this run; the reset worklist
-	pending []*transfer // protocol-ready transfers queued for resources
-	outUse  []int       // per-node output links in use
-	inUse   []int       // per-node input links in use
-	busUse  int
+	chans  map[channelKey]*chanPair
+	dirtyQ []*chanPair // pairs pushed to this run; the reset worklist
+
+	// Network arbitration: resources in use, and the protocol-ready remote
+	// transfers waiting for them (see maybeStart and arbitrate).
+	outUse  []int        // per-node output links in use
+	inUse   []int        // per-node input links in use
+	busUse  int          // buses in use
+	waitAll waitQueue    // every waiting transfer, in post order
+	waitOut []waitQueue  // waiting transfers per source node
+	waitIn  []waitQueue  // waiting transfers per destination node
+	nwait   int          // transfers on waitAll
+	postSeq uint64       // seq of the next transfer to wait
+	freeW   []*waitEntry // wait entry free list
 
 	slots     map[int]*collSlot
 	freeT     []*transfer // transfer free list
@@ -419,13 +479,16 @@ func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.busUse = 0
 	s.outUse = resizeZeroed(s.outUse, cfg.Nodes)
 	s.inUse = resizeZeroed(s.inUse, cfg.Nodes)
+	s.waitAll = waitQueue{}
+	s.waitOut = resizeZeroed(s.waitOut, cfg.Nodes)
+	s.waitIn = resizeZeroed(s.waitIn, cfg.Nodes)
+	s.nwait = 0
+	s.postSeq = 0
 	for _, pr := range s.dirtyQ {
 		pr.reset()
 	}
 	clear(s.dirtyQ)
 	s.dirtyQ = s.dirtyQ[:0]
-	clear(s.pending)
-	s.pending = s.pending[:0]
 	clear(s.slots)
 
 	n := ts.NRanks()
@@ -437,8 +500,8 @@ func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 		})
 	}
 	s.nprocs = n
-	s.finish = resizeZeroedTime(s.finish, n)
-	s.done = resizeZeroedBool(s.done, n)
+	s.finish = resizeZeroed(s.finish, n)
+	s.done = resizeZeroed(s.done, n)
 	for i, p := range s.procs[:n] {
 		p.rank = i
 		p.recs = ts.Traces[i].Records
@@ -450,29 +513,11 @@ func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	}
 }
 
-// resizeZeroed returns a zero-filled int slice of length n, reusing the
-// given backing array when it is large enough.
-func resizeZeroed(s []int, n int) []int {
+// resizeZeroed returns a zero-filled slice of length n, reusing the given
+// backing array when it is large enough.
+func resizeZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeZeroedTime(s []units.Time, n int) []units.Time {
-	if cap(s) < n {
-		return make([]units.Time, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeZeroedBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -480,15 +525,15 @@ func resizeZeroedBool(s []bool, n int) []bool {
 }
 
 // newTransfer draws a zeroed transfer from the free list.
-func (s *Replayer) newTransfer(src, dst, tag int) *transfer {
+func (s *Replayer) newTransfer(src, dst int) *transfer {
 	if n := len(s.freeT); n > 0 {
 		t := s.freeT[n-1]
 		s.freeT[n-1] = nil
 		s.freeT = s.freeT[:n-1]
-		t.src, t.dst, t.tag = src, dst, tag
+		t.src, t.dst = src, dst
 		return t
 	}
-	return &transfer{sim: s, src: src, dst: dst, tag: tag}
+	return &transfer{sim: s, src: src, dst: dst}
 }
 
 // releaseTransfer zeroes the transfer (keeping its waiter capacity) and
@@ -739,12 +784,13 @@ func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
 	if q := &pr.recv; !q.empty() {
 		t = q.pop()
 	} else {
-		t = s.newTransfer(src, rec.Peer, rec.Tag)
+		t = s.newTransfer(src, rec.Peer)
 		s.enqueue(pr, &pr.send, t)
 	}
 	t.sendPosted = true
 	t.size = rec.Size
-	t.local = s.cfg.SameNode(src, rec.Peer)
+	t.srcNode, t.dstNode = s.cfg.NodeOf(src), s.cfg.NodeOf(rec.Peer)
+	t.local = t.srcNode == t.dstNode
 	t.eager = s.cfg.Eager(rec.Size)
 	s.maybeStart(t)
 	return t
@@ -758,7 +804,7 @@ func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
 	if q := &pr.send; !q.empty() {
 		t = q.pop()
 	} else {
-		t = s.newTransfer(rec.Peer, dst, rec.Tag)
+		t = s.newTransfer(rec.Peer, dst)
 		t.size = rec.Size
 		s.enqueue(pr, &pr.recv, t)
 	}
@@ -768,8 +814,15 @@ func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
 }
 
 // maybeStart checks protocol readiness and routes the transfer into the
-// network: local transfers bypass resources; remote ones queue for links
-// and a bus.
+// network: local transfers bypass resources; remote ones take their links
+// and a bus, or wait for them.
+//
+// Arbitration is FIFO with skipping: whenever resources free up, waiting
+// transfers start in post order, and one that is still blocked does not
+// stall later ones. Every arbitration step leaves each waiting transfer
+// blocked on at least one full resource. Posting frees nothing, so a post
+// only checks the new transfer; MaxPending counts it as queued even when
+// it starts at once.
 func (s *Replayer) maybeStart(t *transfer) {
 	if t.started {
 		return
@@ -786,49 +839,57 @@ func (s *Replayer) maybeStart(t *transfer) {
 		s.eng.ScheduleEventAfter(d, t, evDeliver)
 		return
 	}
-	s.pending = append(s.pending, t)
-	if len(s.pending) > s.stats.MaxPending {
-		s.stats.MaxPending = len(s.pending)
+	s.stats.MaxPending = max(s.stats.MaxPending, s.nwait+1)
+	if s.resourcesFree(t.srcNode, t.dstNode) {
+		s.startRemote(t)
+		return
 	}
-	s.drainPending()
+	var w *waitEntry
+	if n := len(s.freeW); n > 0 {
+		w = s.freeW[n-1]
+		s.freeW = s.freeW[:n-1]
+	} else {
+		w = &waitEntry{}
+	}
+	w.t, w.srcNode, w.dstNode, w.seq = t, t.srcNode, t.dstNode, s.postSeq
+	s.postSeq++
+	s.waitAll.push(w, qAll)
+	s.waitOut[t.srcNode].push(w, qOut)
+	s.waitIn[t.dstNode].push(w, qIn)
+	s.nwait++
 }
 
-// resourcesFree reports whether the transfer can occupy its links and a bus.
-func (s *Replayer) resourcesFree(t *transfer) bool {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	if s.cfg.OutLinks > 0 && s.outUse[srcNode] >= s.cfg.OutLinks {
-		return false
-	}
-	if s.cfg.InLinks > 0 && s.inUse[dstNode] >= s.cfg.InLinks {
-		return false
-	}
-	if s.cfg.Buses > 0 && s.busUse >= s.cfg.Buses {
-		return false
-	}
-	return true
+// resourcesFree reports whether a transfer from srcNode to dstNode can
+// occupy its links and a bus.
+func (s *Replayer) resourcesFree(srcNode, dstNode int) bool {
+	c := &s.cfg
+	return (c.OutLinks == 0 || s.outUse[srcNode] < c.OutLinks) &&
+		(c.InLinks == 0 || s.inUse[dstNode] < c.InLinks) &&
+		(c.Buses == 0 || s.busUse < c.Buses)
 }
 
-// drainPending starts every queued transfer whose resources are free, in
-// FIFO order with skipping (a blocked head does not stall unrelated pairs).
-func (s *Replayer) drainPending() {
-	remaining := s.pending[:0]
-	for _, t := range s.pending {
-		if s.resourcesFree(t) {
-			s.startRemote(t)
-		} else {
-			remaining = append(remaining, t)
-		}
-	}
-	s.pending = remaining
+// busesFull reports whether every bus is in use.
+func (s *Replayer) busesFull() bool {
+	return s.cfg.Buses > 0 && s.busUse == s.cfg.Buses
+}
+
+// startWaiting takes a waiting transfer off its wait queues, recycles its
+// entry and starts it.
+func (s *Replayer) startWaiting(w *waitEntry) {
+	s.waitAll.remove(w, qAll)
+	s.waitOut[w.srcNode].remove(w, qOut)
+	s.waitIn[w.dstNode].remove(w, qIn)
+	s.nwait--
+	s.freeW = append(s.freeW, w)
+	s.startRemote(w.t)
 }
 
 // startRemote occupies resources and schedules the wire phase. Resources
 // are held for the wire time; delivery happens one latency later (the
 // latency models end-point overheads, not bus occupancy).
 func (s *Replayer) startRemote(t *transfer) {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	s.outUse[srcNode]++
-	s.inUse[dstNode]++
+	s.outUse[t.srcNode]++
+	s.inUse[t.dstNode]++
 	s.busUse++
 	wire := s.cfg.TransferTime(t.size)
 	s.stats.BusTime += wire
@@ -838,12 +899,60 @@ func (s *Replayer) startRemote(t *transfer) {
 // wireDone releases the transfer's resources, schedules the delivery one
 // latency later, and hands the freed resources to waiting transfers.
 func (s *Replayer) wireDone(t *transfer) {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	s.outUse[srcNode]--
-	s.inUse[dstNode]--
+	busWasFull := s.busesFull()
+	s.outUse[t.srcNode]--
+	s.inUse[t.dstNode]--
 	s.busUse--
 	s.eng.ScheduleEventAfter(s.cfg.Latency, t, evDeliver)
-	s.drainPending()
+	if s.nwait > 0 {
+		s.arbitrate(t, busWasFull)
+	}
+}
+
+// arbitrate starts the waiting transfers that the resources just released
+// by freed let through, in post order. Only a transfer whose every full
+// resource was among them can start. If all buses were in use, any
+// waiting transfer may qualify, but at most one can start before the
+// buses are full again: the earliest-posted one whose links are free.
+// Otherwise every waiting transfer was blocked on a full link, so the
+// candidates are those waiting for freed's output link or input link; the
+// two per-node queues are walked merged in post order (a transfer on both
+// is visited once).
+func (s *Replayer) arbitrate(freed *transfer, busWasFull bool) {
+	if busWasFull {
+		for c := s.waitAll.head; c != nil; c = c.links[qAll].next {
+			if s.resourcesFree(c.srcNode, c.dstNode) {
+				s.startWaiting(c)
+				return
+			}
+		}
+		return
+	}
+	var out, in *waitEntry
+	if s.cfg.OutLinks > 0 {
+		out = s.waitOut[freed.srcNode].head
+	}
+	if s.cfg.InLinks > 0 {
+		in = s.waitIn[freed.dstNode].head
+	}
+	for out != nil || in != nil {
+		c := out
+		if c == nil || (in != nil && in.seq < c.seq) {
+			c = in
+		}
+		if c == out {
+			out = out.links[qOut].next
+		}
+		if c == in {
+			in = in.links[qIn].next
+		}
+		if s.resourcesFree(c.srcNode, c.dstNode) {
+			s.startWaiting(c)
+			if s.busesFull() {
+				return
+			}
+		}
+	}
 }
 
 // deliver completes the transfer and resumes everything blocked on it.

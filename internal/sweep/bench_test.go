@@ -49,21 +49,37 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // benchDense runs the acceptance-criterion 512-point dense grid with the
-// surrogate fast path on or off. The trace cache is primed outside the
-// timer, so the pair isolates what the surrogate actually saves: replay
-// work. The two benchmarks exist as a pair — the recorded ratio between
-// them is the fast path's headline speedup on its target workload shape.
+// surrogate fast path on or off. Every iteration runs a fresh Runner that
+// shares only a primed on-disk trace cache with the others, so it pays the
+// real replays (the replay memo of a reused Runner would answer them all)
+// but no instrumented run. The two benchmarks exist as a pair — the
+// recorded ratio between them is the fast path's headline speedup on its
+// target workload shape.
 func benchDense(b *testing.B, approx bool) {
 	g := denseGrid()
-	r := denseRunner(approx)
-	if _, err := r.Run(g); err != nil {
+	cache := &TraceCache{Dir: b.TempDir()}
+	cold := denseRunner(approx)
+	cold.Cache = cache
+	if _, err := cold.Run(g); err != nil {
 		b.Fatal(err)
 	}
+	want := cold.Stats()
+	if want.Traces != 1 || want.Replays == 0 || approx != (want.PredictedPoints > 0) {
+		b.Fatalf("cold run did unexpected work: %+v", want)
+	}
+	// Each iteration must redo the cold run's replays, memo hits and
+	// predictions, with its one trace loaded from the cache instead.
+	want.Traces, want.TraceCacheHits = 0, 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		r := denseRunner(approx)
+		r.Cache = cache
 		if _, err := r.Run(g); err != nil {
 			b.Fatal(err)
+		}
+		if got := r.Stats(); got != want {
+			b.Fatalf("iteration %d did %+v, want %+v", i, got, want)
 		}
 	}
 }

@@ -226,6 +226,7 @@ func runExperiments(args []string) error {
 		}
 		fmt.Println()
 	}
+	fmt.Fprintf(os.Stderr, "run: work: %s\n", suite.Stats().WorkLine(false))
 	return nil
 }
 

@@ -24,6 +24,29 @@ func TestRunExperimentQuick(t *testing.T) {
 	}
 }
 
+// TestRunExperimentWorkLine: run reports its work on stderr, and a rerun
+// on the same trace cache traces nothing but replays as much.
+func TestRunExperimentWorkLine(t *testing.T) {
+	args := []string{"-quick", "-cache-dir", t.TempDir(), "e2"}
+	var lines [2]string
+	for i := range lines {
+		stderr := captureStderr(t, func() {
+			if err := runExperiments(args); err != nil {
+				t.Error(err)
+			}
+		})
+		lines[i] = workLine(t, stderr, "run: work:")
+	}
+	cold, warm := lines[0], lines[1]
+	if strings.HasPrefix(cold, "run: work: 0 instrumented runs,") || strings.Contains(cold, " 0 replays,") {
+		t.Errorf("cold run reported no work: %q", cold)
+	}
+	want := strings.Replace(cold, "run: work: 3 instrumented runs, 0 trace-cache hits,", "run: work: 0 instrumented runs, 3 trace-cache hits,", 1)
+	if warm != want || want == cold {
+		t.Errorf("warm rerun reported %q, want %q", warm, want)
+	}
+}
+
 func TestRunExperimentErrors(t *testing.T) {
 	if err := runExperiments([]string{}); err == nil {
 		t.Error("no id: expected error")

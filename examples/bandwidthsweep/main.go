@@ -4,9 +4,11 @@
 // point showing how much bandwidth overlap saves at the high end.
 //
 // The application is traced exactly once (the single instrumented run of
-// the paper's methodology); the bandwidth curve then fans its replays out
-// over the sweep engine's worker pool and merges them in grid order, so
-// the output is byte-identical for any -workers value.
+// the paper's methodology) by the suite's sweep runner; the bandwidth curve
+// then fans its replays out over the sweep engine's worker pool and merges
+// them in grid order, so the output is byte-identical for any -workers
+// value. The runner memoizes every replay; the closing work line shows
+// the instrumented runs and replays the example paid for.
 package main
 
 import (
@@ -50,8 +52,8 @@ func main() {
 		fmt.Printf("%10s  %5.2fx  %s\n", bws[i], sp, bar)
 	}
 
-	// The iso-performance point needs a bisection, not a grid: reuse the
-	// same traced pipeline for the search.
+	// The iso-performance point needs a bisection, not a grid: run it on
+	// the same pipeline, whose replays are memoized.
 	ref := 32 * units.GBPerSec
 	iso, ok, err := pl.IsoBandwidth(suite.Machine, ref, overlapsim.IdealOverlap(), 0.02)
 	if err != nil {
@@ -63,4 +65,5 @@ func main() {
 	} else {
 		fmt.Printf("\nthe overlapped execution cannot match the original at %s on this platform\n", ref)
 	}
+	fmt.Printf("\nwork: %s\n", suite.Stats().WorkLine(false))
 }

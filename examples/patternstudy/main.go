@@ -2,12 +2,15 @@
 // application: with the *measured* computation patterns the potential for
 // automatic overlap is negligible, while the *ideal sequential* pattern
 // unlocks a large benefit — and shows per-message profiles explaining why.
+// Both speedups and the bandwidth search run on the suite's sweep runner,
+// which traces the application once and replays each platform once.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
 
 	"overlapsim"
 	"overlapsim/internal/experiment"
@@ -19,7 +22,7 @@ func main() {
 	flag.Parse()
 
 	suite := experiment.NewSuite()
-	pl, err := experiment.NewPipeline(*appName, suite.AppConfig(*appName), 8)
+	pl, err := suite.PipelineFor(*appName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,10 +48,20 @@ func main() {
 	// annotated sends, as fractions of their burst. Values near 1.0 mean
 	// the data is only produced at the very end of the computation — too
 	// late to send anything early.
+	ps, err := pl.Profiled()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("measured production points (fraction of burst, first 5 annotated sends):")
 	shown := 0
-	for rank, ann := range pl.Profiled.Annotations {
-		for idx, a := range ann {
+	for rank, ann := range ps.Annotations {
+		idxs := make([]int, 0, len(ann))
+		for idx := range ann {
+			idxs = append(idxs, idx)
+		}
+		sort.Ints(idxs) // record order, so the output is reproducible
+		for _, idx := range idxs {
+			a := ann[idx]
 			if a.Production == nil || shown >= 5 {
 				continue
 			}

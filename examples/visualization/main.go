@@ -20,23 +20,25 @@ func main() {
 	width := flag.Int("width", 100, "gantt width in columns")
 	flag.Parse()
 
+	// Trace once through the suite's runner; the study below replays the
+	// same profiled set with timelines for the views.
 	suite := experiment.NewSuite()
-	env := overlapsim.NewEnvironment()
-	app, err := overlapsim.NewApp(*appName, suite.AppConfig(*appName))
+	pl, err := suite.PipelineFor(*appName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	study, err := env.Trace(app)
+	ps, err := pl.Profiled()
+	if err != nil {
+		log.Fatal(err)
+	}
+	env := overlapsim.NewEnvironment()
+	study, err := env.FromProfiled(ps)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Pick the bandwidth where communication is comparable to computation
 	// so the qualitative difference is at its clearest.
-	pl, err := experiment.NewPipeline(*appName, suite.AppConfig(*appName), 8)
-	if err != nil {
-		log.Fatal(err)
-	}
 	bw, err := pl.IntermediateBandwidth(suite.Machine)
 	if err != nil {
 		log.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/paraver"
 	"overlapsim/internal/replay"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/trace"
 	"overlapsim/internal/tracer"
 )
@@ -47,7 +48,7 @@ func (e *Environment) Trace(app tracer.App) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps, variants: map[string]*trace.Set{}}, nil
+	return &Study{env: e, Profiled: ps}, nil
 }
 
 // FromProfiled wraps an already-obtained profiled set (for example, one
@@ -59,7 +60,7 @@ func (e *Environment) FromProfiled(ps *overlap.ProfiledSet) (*Study, error) {
 	if err := trace.Validate(ps.Original); err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps, variants: map[string]*trace.Set{}}, nil
+	return &Study{env: e, Profiled: ps}, nil
 }
 
 // FromTrace wraps a bare original trace with no measured profiles; the
@@ -73,11 +74,12 @@ func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 	return e.FromProfiled(&overlap.ProfiledSet{Original: ts, Annotations: ann, Chunks: e.Chunks})
 }
 
-// Study is one traced application with cached overlapped variants.
+// Study is one traced application with cached overlapped variants. It is
+// safe for concurrent use.
 type Study struct {
 	env      *Environment
 	Profiled *overlap.ProfiledSet
-	variants map[string]*trace.Set
+	variants sweep.VariantCache
 }
 
 // Original returns the non-overlapped trace.
@@ -86,16 +88,7 @@ func (s *Study) Original() *trace.Set { return s.Profiled.Original }
 // Variant returns (building and caching) the overlapped trace for the
 // given transformation options.
 func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
-	key := opts.Variant(s.Profiled.Chunks)
-	if ts, ok := s.variants[key]; ok {
-		return ts, nil
-	}
-	ts, err := overlap.Transform(s.Profiled, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.variants[key] = ts
-	return ts, nil
+	return s.variants.Get(s.Profiled, opts)
 }
 
 // SimulateOriginal replays the original trace on the platform.

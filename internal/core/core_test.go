@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"overlapsim/internal/machine"
 	"overlapsim/internal/memory"
 	"overlapsim/internal/overlap"
+	"overlapsim/internal/replay"
 	"overlapsim/internal/trace"
 	"overlapsim/internal/tracer"
 	"overlapsim/internal/units"
@@ -98,6 +100,63 @@ func TestStudyVariantCaching(t *testing.T) {
 	}
 	if a != b {
 		t.Error("variants should be cached")
+	}
+}
+
+// TestStudyConcurrentCompare runs Compare for both patterns from many
+// goroutines on one study (run it under -race): the variant cache must
+// build each variant once and every caller must see the serial result.
+func TestStudyConcurrentCompare(t *testing.T) {
+	env := NewEnvironment()
+	study, err := env.Trace(chainApp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := balancedMachine()
+	patterns := []overlap.Pattern{overlap.PatternLinear, overlap.PatternReal}
+	want := make([]units.Time, len(patterns))
+	for i, pat := range patterns {
+		ts, err := overlap.Transform(study.Profiled, overlap.Options{Mechanisms: overlap.BothMechanisms, Pattern: pat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := replay.Simulate(ts, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Total
+	}
+
+	const callers = 16
+	got := make([]units.Time, callers)
+	sets := make([]*trace.Set, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := overlap.Options{Mechanisms: overlap.BothMechanisms, Pattern: patterns[g%len(patterns)]}
+			cmp, err := study.Compare(m, opts)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			got[g] = cmp.Overlapped.Total
+			sets[g], errs[g] = study.Variant(opts)
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if got[g] != want[g%len(patterns)] {
+			t.Errorf("caller %d: overlapped total %v, want %v", g, got[g], want[g%len(patterns)])
+		}
+		if sets[g] != sets[g%len(patterns)] {
+			t.Errorf("caller %d got a second %s variant", g, patterns[g%len(patterns)])
+		}
 	}
 }
 

@@ -35,11 +35,23 @@ func TestSuiteTraceCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var a, b bytes.Buffer
-	if err := trace.Write(&a, pl1.OriginalSet()); err != nil {
+	if got := warm.Stats(); got.Traces != 0 || got.TraceCacheHits != 1 {
+		t.Errorf("warm suite did %+v, want 0 instrumented runs and 1 trace-cache hit", got)
+	}
+
+	ps1, err := pl1.Profiled()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(&b, pl2.OriginalSet()); err != nil {
+	ps2, err := pl2.Profiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := trace.Write(&a, ps1.Original); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Write(&b, ps2.Original); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

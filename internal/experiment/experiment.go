@@ -15,12 +15,20 @@
 //	A2  — chunk-count ablation
 //	A3  — network-parameter ablation (buses, eager threshold)
 //	B1  — analytic baseline vs simulation
+//	S1  — wavefront overlap benefit vs process-grid size (extension)
+//
+// Every experiment of a Suite runs on one sweep.Runner, the trace-once,
+// replay-memoized pipeline behind the sweep CLI, serve and campaign: each
+// workload is traced once, and each (trace variant, platform) pair is
+// replayed once per suite however many experiments ask for it. Suite.Stats
+// reports that work. Only F1 calls the replayer directly, because it
+// renders the replays' timelines.
 package experiment
 
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"overlapsim/internal/apps"
 	"overlapsim/internal/machine"
@@ -28,85 +36,39 @@ import (
 	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/trace"
-	"overlapsim/internal/tracer"
 	"overlapsim/internal/units"
 )
 
-// Pipeline is one application traced once, with cached transformations and
-// replays so bandwidth sweeps do not repeat work. The caches are safe for
-// concurrent use: sweep workers replaying different grid points share one
-// pipeline.
+// Pipeline is a handle on one workload of a suite: its queries run on the
+// suite's sweep.Runner, which traces the workload once and memoizes every
+// transformation and replay, so sweeps and searches that revisit a
+// (variant, platform) pair — within an experiment or across experiments —
+// replay it once. Handles are cheap values, safe for concurrent use.
 type Pipeline struct {
-	AppName  string
-	Cfg      apps.Config
-	Chunks   int
-	Profiled *overlap.ProfiledSet
-
-	variants sweep.VariantCache
-
-	bwMu    sync.Mutex
-	interBW map[machine.Config]*bwSlot
+	r *sweep.Runner
+	w sweep.Workload
 }
 
-// bwSlot makes concurrent IntermediateBandwidth calls for one platform run
-// the bandwidth-grid search exactly once; latecomers wait for the result.
-type bwSlot struct {
-	once sync.Once
-	bw   units.Bandwidth
-	err  error
-}
+// Profiled returns the workload's profiled trace set.
+func (pl Pipeline) Profiled() (*overlap.ProfiledSet, error) { return pl.r.Profiled(pl.w) }
 
-// NewPipeline traces the application once (the single real run of the
-// paper's methodology) and prepares the transformation cache.
-func NewPipeline(appName string, cfg apps.Config, chunks int) (*Pipeline, error) {
-	a, err := apps.New(appName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := tracer.Trace(a, tracer.Options{Chunks: chunks})
-	if err != nil {
-		return nil, err
-	}
-	return NewPipelineFromProfiled(appName, cfg, ps), nil
-}
-
-// NewPipelineFromProfiled wraps an already-profiled trace set — e.g. one
-// loaded from a sweep.TraceCache — in a pipeline, skipping the
-// instrumented run.
-func NewPipelineFromProfiled(appName string, cfg apps.Config, ps *overlap.ProfiledSet) *Pipeline {
-	return &Pipeline{
-		AppName:  appName,
-		Cfg:      cfg,
-		Chunks:   ps.Chunks,
-		Profiled: ps,
-	}
-}
-
-// OriginalSet returns the non-overlapped trace.
-func (pl *Pipeline) OriginalSet() *trace.Set { return pl.Profiled.Original }
-
-// VariantSet returns (building and caching on first use) the overlapped
-// trace for the given options. Safe for concurrent sweep workers.
-func (pl *Pipeline) VariantSet(opts overlap.Options) (*trace.Set, error) {
-	return pl.variants.Get(pl.Profiled, opts)
+// VariantSet returns the overlapped trace for the given options.
+func (pl Pipeline) VariantSet(opts overlap.Options) (*trace.Set, error) {
+	return pl.r.Variant(pl.w, opts)
 }
 
 // Original replays the non-overlapped trace on the platform.
-func (pl *Pipeline) Original(m machine.Config) (*replay.Result, error) {
-	return replay.Simulate(pl.Profiled.Original, m)
+func (pl Pipeline) Original(m machine.Config) (replay.Summary, error) {
+	return pl.r.Original(pl.w, m)
 }
 
 // Overlapped replays an overlapped variant on the platform.
-func (pl *Pipeline) Overlapped(m machine.Config, opts overlap.Options) (*replay.Result, error) {
-	ts, err := pl.VariantSet(opts)
-	if err != nil {
-		return nil, err
-	}
-	return replay.Simulate(ts, m)
+func (pl Pipeline) Overlapped(m machine.Config, opts overlap.Options) (replay.Summary, error) {
+	return pl.r.Overlapped(pl.w, opts, m)
 }
 
 // Speedup replays both executions and returns T_original / T_overlapped.
-func (pl *Pipeline) Speedup(m machine.Config, opts overlap.Options) (float64, error) {
+func (pl Pipeline) Speedup(m machine.Config, opts overlap.Options) (float64, error) {
 	orig, err := pl.Original(m)
 	if err != nil {
 		return 0, err
@@ -134,46 +96,29 @@ func bandwidthGrid() []units.Bandwidth {
 // IntermediateBandwidth locates the paper's "intermediate" regime: the
 // bandwidth at which the original execution spends a time in communication
 // comparable to computation (mean blocked fraction closest to 0.5). The
-// search is a deterministic sweep over the logarithmic grid, memoized per
-// base platform: every experiment anchors on the same regime, so the grid
-// of original replays is paid once per (pipeline, platform) even when many
-// sweep workers ask concurrently.
-func (pl *Pipeline) IntermediateBandwidth(base machine.Config) (units.Bandwidth, error) {
-	pl.bwMu.Lock()
-	if pl.interBW == nil {
-		pl.interBW = map[machine.Config]*bwSlot{}
-	}
-	slot, ok := pl.interBW[base]
-	if !ok {
-		slot = &bwSlot{}
-		pl.interBW[base] = slot
-	}
-	pl.bwMu.Unlock()
-
-	slot.once.Do(func() {
-		best := units.Bandwidth(0)
-		bestDist := math.Inf(1)
-		for _, bw := range bandwidthGrid() {
-			res, err := pl.Original(base.WithBandwidth(bw))
-			if err != nil {
-				slot.err = err
-				return
-			}
-			d := math.Abs(res.MeanBlockedFraction() - 0.5)
-			if d < bestDist {
-				bestDist, best = d, bw
-			}
+// search is a deterministic sweep over the logarithmic grid; its replays
+// are memoized by the runner, so every experiment that anchors on the same
+// regime pays the grid once.
+func (pl Pipeline) IntermediateBandwidth(base machine.Config) (units.Bandwidth, error) {
+	best := units.Bandwidth(0)
+	bestDist := math.Inf(1)
+	for _, bw := range bandwidthGrid() {
+		res, err := pl.Original(base.WithBandwidth(bw))
+		if err != nil {
+			return 0, err
 		}
-		slot.bw = best
-	})
-	return slot.bw, slot.err
+		if d := math.Abs(res.Blocked - 0.5); d < bestDist {
+			bestDist, best = d, bw
+		}
+	}
+	return best, nil
 }
 
 // IsoBandwidth finds the minimum bandwidth at which the overlapped
 // execution matches (within tol) the original execution's runtime on the
 // reference bandwidth — finding 3's measurement. ok is false when even the
 // reference bandwidth cannot reach the target with overlap.
-func (pl *Pipeline) IsoBandwidth(base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
+func (pl Pipeline) IsoBandwidth(base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
 	origRef, err := pl.Original(base.WithBandwidth(ref))
 	if err != nil {
 		return 0, false, err
@@ -217,7 +162,9 @@ func (pl *Pipeline) IsoBandwidth(base machine.Config, ref units.Bandwidth, opts 
 	return units.Bandwidth(math.Exp(hi)), true, nil
 }
 
-// Suite binds the experiment set to a platform and problem scale.
+// Suite binds the experiment set to a platform and problem scale. Its
+// experiments run on one sweep.Runner, built on first use from Machine,
+// Workers and Cache; configure those before the first experiment.
 type Suite struct {
 	// Machine is the base platform; bandwidth is swept per experiment.
 	Machine machine.Config
@@ -233,15 +180,7 @@ type Suite struct {
 	// identical with a cold, warm or absent cache.
 	Cache *sweep.TraceCache
 
-	mu        sync.Mutex
-	pipelines map[string]*pipeSlot
-}
-
-// pipeSlot makes concurrent PipelineFor calls trace each app exactly once.
-type pipeSlot struct {
-	once sync.Once
-	pl   *Pipeline
-	err  error
+	r atomic.Pointer[sweep.Runner]
 }
 
 // NewSuite returns a suite on the default platform.
@@ -249,8 +188,21 @@ func NewSuite() *Suite {
 	return &Suite{Machine: machine.Default(), Chunks: 8}
 }
 
-// engine returns the sweep worker pool the suite's experiments fan out on.
-func (s *Suite) engine() sweep.Engine { return sweep.Engine{Workers: s.Workers} }
+// runner returns the suite's runner, building it on first use. Concurrent
+// first uses may each build one; a single one is kept.
+func (s *Suite) runner() *sweep.Runner {
+	if r := s.r.Load(); r != nil {
+		return r
+	}
+	s.r.CompareAndSwap(nil, &sweep.Runner{
+		Base: s.Machine, Engine: sweep.Engine{Workers: s.Workers}, Cache: s.Cache})
+	return s.r.Load()
+}
+
+// Stats returns the work the suite's experiments did so far: instrumented
+// runs, trace-cache hits, replays and replay-memo hits. F1's two timeline
+// replays run outside the runner and are not counted.
+func (s *Suite) Stats() sweep.Counters { return s.runner().Stats() }
 
 // AppConfig returns the workload configuration the suite uses for an app.
 func (s *Suite) AppConfig(name string) apps.Config {
@@ -276,54 +228,22 @@ func (s *Suite) AppConfig(name string) apps.Config {
 	return cfg
 }
 
-// PipelineFor traces the app once per suite and caches the result. It is
-// safe for concurrent use; parallel callers for the same app share one
-// instrumented run.
-func (s *Suite) PipelineFor(name string) (*Pipeline, error) {
-	s.mu.Lock()
-	if s.pipelines == nil {
-		s.pipelines = map[string]*pipeSlot{}
-	}
-	slot, ok := s.pipelines[name]
-	if !ok {
-		slot = &pipeSlot{}
-		s.pipelines[name] = slot
-	}
-	s.mu.Unlock()
-
-	slot.once.Do(func() {
-		slot.pl, slot.err = s.CachedPipeline(name, s.AppConfig(name), s.Chunks)
-	})
-	return slot.pl, slot.err
+// PipelineFor returns the pipeline of the app at the suite's scale,
+// tracing it on first use (once per suite, even for concurrent callers).
+func (s *Suite) PipelineFor(name string) (Pipeline, error) {
+	cfg := s.AppConfig(name)
+	return s.Pipeline(sweep.Workload{App: name, Ranks: cfg.Ranks, Size: cfg.Size, Iters: cfg.Iterations, Chunks: s.Chunks})
 }
 
-// CachedPipeline builds a pipeline for an arbitrary workload through the
-// suite's trace cache: a cached profiled set skips the instrumented run, a
-// fresh trace is stored for later runs. Unlike PipelineFor it is not
-// memoized per suite — it serves experiments that scale workloads beyond
-// the suite defaults (e.g. S1's rank sweep). Load errors (a corrupt cache)
-// surface; store errors are best-effort, because a read-only or full cache
-// directory must not discard a trace that just succeeded.
-func (s *Suite) CachedPipeline(name string, cfg apps.Config, chunks int) (*Pipeline, error) {
-	if chunks == 0 {
-		chunks = 8
+// Pipeline returns the pipeline of an arbitrary workload, e.g. one scaled
+// beyond the suite defaults (S1's rank sweep), tracing it on first use.
+// With a trace cache a cached profiled set skips the instrumented run and
+// a fresh trace is stored for later runs.
+func (s *Suite) Pipeline(w sweep.Workload) (Pipeline, error) {
+	pl := Pipeline{r: s.runner(), w: w}
+	if _, err := pl.Profiled(); err != nil {
+		return Pipeline{}, err
 	}
-	if s.Cache == nil {
-		return NewPipeline(name, cfg, chunks)
-	}
-	key := s.Cache.Key(name, cfg.Ranks, chunks, cfg.Size, cfg.Iterations)
-	ps, err := s.Cache.Load(key)
-	if err != nil {
-		return nil, err
-	}
-	if ps != nil {
-		return NewPipelineFromProfiled(name, cfg, ps), nil
-	}
-	pl, err := NewPipeline(name, cfg, chunks)
-	if err != nil {
-		return nil, err
-	}
-	_ = s.Cache.Store(key, pl.Profiled)
 	return pl, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"overlapsim/internal/apps"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/units"
 )
 
@@ -17,13 +18,24 @@ func quickSuite() *Suite {
 	return s
 }
 
-func TestNewPipelineAndCaching(t *testing.T) {
-	pl, err := NewPipeline("pingpong", apps.Config{Ranks: 2, Size: 256, Iterations: 2}, 4)
+// pipeline traces one workload on a fresh default suite.
+func pipeline(t *testing.T, app string, ranks, size, iters, chunks int) Pipeline {
+	t.Helper()
+	pl, err := NewSuite().Pipeline(sweep.Workload{App: app, Ranks: ranks, Size: size, Iters: iters, Chunks: chunks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.OriginalSet().Name != "pingpong" {
-		t.Errorf("set name = %q", pl.OriginalSet().Name)
+	return pl
+}
+
+func TestNewPipelineAndCaching(t *testing.T) {
+	pl := pipeline(t, "pingpong", 2, 256, 2, 4)
+	ps, err := pl.Profiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Original.Name != "pingpong" || ps.Chunks != 4 {
+		t.Errorf("profiled set %q at %d chunks, want pingpong at 4", ps.Original.Name, ps.Chunks)
 	}
 	a, err := pl.VariantSet(bothLinear)
 	if err != nil {
@@ -46,16 +58,13 @@ func TestNewPipelineAndCaching(t *testing.T) {
 }
 
 func TestNewPipelineUnknownApp(t *testing.T) {
-	if _, err := NewPipeline("nope", apps.Config{}, 4); err == nil {
+	if _, err := NewSuite().Pipeline(sweep.Workload{App: "nope", Chunks: 4}); err == nil {
 		t.Error("unknown app: expected error")
 	}
 }
 
 func TestSpeedupSanity(t *testing.T) {
-	pl, err := NewPipeline("ring", apps.Config{Ranks: 4, Size: 512, Iterations: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pipeline(t, "ring", 4, 512, 2, 8)
 	bw, err := pl.IntermediateBandwidth(machine.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +79,7 @@ func TestSpeedupSanity(t *testing.T) {
 }
 
 func TestIntermediateBandwidthInGrid(t *testing.T) {
-	pl, err := NewPipeline("halo2d", apps.Config{Ranks: 4, Size: 64, Iterations: 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pipeline(t, "halo2d", 4, 64, 2, 4)
 	bw, err := pl.IntermediateBandwidth(machine.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +97,7 @@ func TestIntermediateBandwidthInGrid(t *testing.T) {
 }
 
 func TestIsoBandwidthMeetsTarget(t *testing.T) {
-	pl, err := NewPipeline("specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pipeline(t, "specfem", 4, 1024, 2, 8)
 	base := machine.Default()
 	ref := 32 * units.GBPerSec
 	iso, ok, err := pl.IsoBandwidth(base, ref, bothLinear, 0.02)
@@ -220,15 +223,15 @@ func TestSuitePipelineCaching(t *testing.T) {
 	if a != b {
 		t.Error("suite should cache pipelines")
 	}
+	if got := s.Stats().Traces; got != 1 {
+		t.Errorf("two PipelineFor calls traced %d times, want 1", got)
+	}
 }
 
 func TestMechanismSubsetsOrdering(t *testing.T) {
 	// Both mechanisms together must be at least as good as either alone
 	// (on a contention-free platform with linear patterns).
-	pl, err := NewPipeline("specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pipeline(t, "specfem", 4, 1024, 2, 8)
 	m := machine.Default().WithBandwidth(128 * units.MBPerSec)
 	get := func(mech overlap.Mechanism) float64 {
 		sp, err := pl.Speedup(m, overlap.Options{Mechanisms: mech, Pattern: overlap.PatternLinear})

@@ -3,7 +3,6 @@ package experiment
 import (
 	"testing"
 
-	"overlapsim/internal/apps"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/stats"
 	"overlapsim/internal/units"
@@ -103,10 +102,7 @@ func TestFindingsShapeFullScale(t *testing.T) {
 // blocking rendezvous sends (ring-topology codes like specfem legitimately
 // do — the replayer reports that as a deadlock, as Dimemas would).
 func TestPrepostHelpsUnderRendezvous(t *testing.T) {
-	pl, err := NewPipeline("sweep3d", apps.Config{Ranks: 4, Size: 512, Iterations: 1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pipeline(t, "sweep3d", 4, 512, 1, 8)
 	m := NewSuite().Machine.WithBandwidth(128 * units.MBPerSec)
 	m.EagerThreshold = 0 // rendezvous for every chunk
 	plain, err := pl.Speedup(m, overlap.Options{

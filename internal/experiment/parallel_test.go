@@ -43,7 +43,7 @@ func TestPipelineForConcurrent(t *testing.T) {
 	s := NewSuite()
 	s.Quick = true
 	const goroutines = 16
-	pls := make([]*Pipeline, goroutines)
+	pls := make([]Pipeline, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
@@ -61,5 +61,8 @@ func TestPipelineForConcurrent(t *testing.T) {
 		if pls[i] != pls[0] {
 			t.Fatal("concurrent PipelineFor returned distinct pipelines")
 		}
+	}
+	if got := s.Stats().Traces; got != 1 {
+		t.Errorf("concurrent PipelineFor traced %d times, want 1", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/paraver"
+	"overlapsim/internal/replay"
 	"overlapsim/internal/stats"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/trace"
@@ -64,15 +65,25 @@ func RunF1(s *Suite, w io.Writer) error {
 		return err
 	}
 	m := s.Machine.WithBandwidth(bw)
-	orig, err := pl.Original(m)
+	ps, err := pl.Profiled()
 	if err != nil {
 		return err
 	}
-	over, err := pl.Overlapped(m, bothLinear)
+	vts, err := pl.VariantSet(bothLinear)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", pl.AppName, m)
+	// The views need the replays' timelines, which the runner's memoized
+	// summaries do not keep: replay both traces directly.
+	orig, err := replay.Simulate(ps.Original, m)
+	if err != nil {
+		return err
+	}
+	over, err := replay.Simulate(vts, m)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", ps.Original.Name, m)
 	if err := paraver.RenderComparison(w, orig.Timelines, over.Timelines, paraver.GanttOptions{Width: 72, Legend: true}); err != nil {
 		return err
 	}
@@ -123,7 +134,7 @@ func RunE1(s *Suite, w io.Writer) error {
 func RunE2(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "E2: speedup at intermediate bandwidth with ideal (sequential) patterns")
 	names := paperAppsOf(s)
-	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
+	rows, err := sweep.Map(s.runner().Engine, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		pl, err := s.PipelineFor(name)
 		if err != nil {
@@ -167,7 +178,7 @@ func RunE2f(s *Suite, w io.Writer) error {
 	// The full app × bandwidth cross product, expressed as a sweep grid
 	// and simulated point-by-point on the worker pool.
 	pts := sweep.Grid{Apps: names, Bandwidths: grid}.Expand()
-	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
+	cells, err := sweep.Map(s.runner().Engine, len(pts), func(i int) (string, error) {
 		p := pts[i]
 		pl, err := s.PipelineFor(p.App)
 		if err != nil {
@@ -201,7 +212,7 @@ func RunE3(s *Suite, w io.Writer) error {
 	ref := 32 * units.GBPerSec
 	fmt.Fprintf(w, "E3: bandwidth needed by the overlapped execution to match the original at %s\n", ref)
 	names := paperAppsOf(s)
-	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
+	rows, err := sweep.Map(s.runner().Engine, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		pl, err := s.PipelineFor(name)
 		if err != nil {
@@ -238,7 +249,7 @@ func RunA1(s *Suite, w io.Writer) error {
 	names := paperAppsOf(s)
 	mechs := []overlap.Mechanism{0, overlap.EarlySend, overlap.LateRecv, overlap.BothMechanisms}
 	pts := sweep.Grid{Apps: names, Mechanisms: mechs}.Expand()
-	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
+	cells, err := sweep.Map(s.runner().Engine, len(pts), func(i int) (string, error) {
 		p := pts[i]
 		pl, err := s.PipelineFor(p.App)
 		if err != nil {
@@ -275,7 +286,7 @@ func RunA2(s *Suite, w io.Writer) error {
 	for _, ovh := range []units.Duration{0, 2 * units.Microsecond} {
 		fmt.Fprintf(w, "A2: chunk-count sweep (ideal patterns, intermediate bandwidth, CPU overhead %v)\n", ovh)
 		pts := sweep.Grid{Apps: names, Chunks: chunkCounts}.Expand()
-		cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
+		cells, err := sweep.Map(s.runner().Engine, len(pts), func(i int) (string, error) {
 			p := pts[i]
 			pl, err := s.PipelineFor(p.App)
 			if err != nil {
@@ -331,7 +342,7 @@ func RunA3(s *Suite, w io.Writer) error {
 	// Each parameter axis is a one-dimensional sweep over platform
 	// variants: fan the replays out, then render rows in axis order.
 	paramSweep := func(n int, machineAt func(i int) machine.Config, labelAt func(i int) string) ([][]string, error) {
-		return sweep.Map(s.engine(), n, func(i int) ([]string, error) {
+		return sweep.Map(s.runner().Engine, n, func(i int) ([]string, error) {
 			m := machineAt(i)
 			orig, err := pl.Original(m)
 			if err != nil {
@@ -422,11 +433,15 @@ func RunB1(s *Suite, w io.Writer) error {
 			return err
 		}
 		m := s.Machine.WithBandwidth(bw)
+		ps, err := pl.Profiled()
+		if err != nil {
+			return err
+		}
 		mips := m.MIPS
 		if mips == 0 {
-			mips = pl.OriginalSet().MIPS
+			mips = ps.Original.MIPS
 		}
-		model := analytic.FromStats(trace.Stats(pl.OriginalSet()), mips)
+		model := analytic.FromStats(trace.Stats(ps.Original), mips)
 		ideal, err := pl.Speedup(m, bothLinear)
 		if err != nil {
 			return err
@@ -458,7 +473,7 @@ func RunS1(s *Suite, w io.Writer) error {
 	}
 	tb := stats.NewTable("ranks", "grid", "bandwidth", "T-original", "T-overlap", "speedup")
 	for _, ranks := range rankCounts {
-		pl, err := s.CachedPipeline("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters}, s.Chunks)
+		pl, err := s.Pipeline(sweep.Workload{App: "sweep3d", Ranks: ranks, Size: size, Iters: iters, Chunks: s.Chunks})
 		if err != nil {
 			return err
 		}

@@ -276,7 +276,7 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[int]Result, demoted *[]int) {
 	n := len(pl.members)
 	rep := pl.members[0].p
-	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
+	ps, err := r.Profiled(r.workload(rep))
 	if err != nil {
 		return
 	}
@@ -500,7 +500,7 @@ func (r *Runner) kneePosition(axis approxAxis, rep Point, xs []float64) (int, bo
 	if axis == axisEager {
 		return 0, false
 	}
-	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
+	ps, err := r.Profiled(r.workload(rep))
 	if err != nil {
 		return 0, false
 	}

@@ -21,10 +21,10 @@ import (
 // results, caching semantics, counter totals — is unchanged.
 
 // batchKey groups expanded points that replay the same trace sets: same
-// workload (app, ranks, chunks) and same overlap transformation. Within a
-// group only the platform (bandwidth + overlay) varies.
+// workload and same overlap transformation. Within a group only the
+// platform (bandwidth + overlay) varies.
 type batchKey struct {
-	pipe pipeKey
+	w    Workload
 	opts overlap.Options
 }
 
@@ -39,13 +39,7 @@ func (r *Runner) prefillBatches(pts []Point) {
 	groups := map[batchKey][]Point{}
 	var order []batchKey // deterministic group order (first appearance)
 	for _, p := range pts {
-		if p.Chunks == 0 {
-			p.Chunks = DefaultChunks
-		}
-		k := batchKey{
-			pipe: pipeKey{app: p.App, ranks: p.Ranks, chunks: p.Chunks},
-			opts: p.Options(),
-		}
+		k := batchKey{w: r.workload(p), opts: p.Options()}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -77,7 +71,7 @@ func (r *Runner) prefillIndices(pts []Point, indices []int) {
 // workload once, build its two trace sets, and batch-replay every platform
 // in the group that neither the memo nor the persistent store has yet.
 func (r *Runner) prefillGroup(k batchKey, group []Point) {
-	ps, err := r.profiled(k.pipe)
+	ps, err := r.Profiled(k.w)
 	if err != nil {
 		return
 	}
@@ -98,35 +92,31 @@ func (r *Runner) prefillGroup(k batchKey, group []Point) {
 	if len(machines) < 2 {
 		return
 	}
-	vts, err := r.pipelineFor(k.pipe).variants.Get(ps, k.opts)
+	vts, err := r.Variant(k.w, k.opts)
 	if err != nil {
 		return
 	}
-	r.prefillSet(ps.Original, machines)
+	r.prefillSet(k.w, ps.Original, false, machines)
 	if vts != ps.Original {
-		r.prefillSet(vts, machines)
+		r.prefillSet(k.w, vts, true, machines)
 	}
 }
 
 // prefillSet batch-replays the trace set on every machine whose memo entry
 // is missing (and not already in the persistent store), then installs the
 // summaries as prefilled memo entries and writes them through to the store.
-func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
+func (r *Runner) prefillSet(w Workload, ts *trace.Set, overlapped bool, machines []machine.Config) {
 	var missing []machine.Config
 	for _, m := range machines {
-		key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
-		key.platform.Name = ""
+		key := memoKeyOf(w, ts, overlapped, m)
 		r.mu.Lock()
 		_, have := r.memos[key]
 		r.mu.Unlock()
 		if have {
 			continue
 		}
-		if r.Store != nil {
-			sk := r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
-			if r.Store.Load(sk) != nil {
-				continue // the fill path will take the store hit as usual
-			}
+		if r.Store != nil && r.Store.Load(r.storeKey(key)) != nil {
+			continue // the fill path will take the store hit as usual
 		}
 		missing = append(missing, m)
 	}
@@ -138,13 +128,11 @@ func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
 	// On error the completed prefix is still valid; the failing point's
 	// entry stays unfilled so RunPoint reports the error in context.
 	for i := 0; i < n; i++ {
-		m, sum := missing[i], out[i]
+		sum := out[i]
 		atomic.AddInt64(&r.work.Replays, 1)
 		atomic.AddInt64(&r.work.BatchedReplays, 1)
-		blocked := sum.Blocked
-		key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
-		key.platform.Name = ""
-		e := &memoEntry{total: sum.Total, steps: sum.Steps, blocked: blocked, prefilled: true}
+		key := memoKeyOf(w, ts, overlapped, missing[i])
+		e := &memoEntry{sum: sum, prefilled: true}
 		e.once.Do(func() {})
 		r.mu.Lock()
 		if r.memos == nil {
@@ -155,14 +143,9 @@ func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
 		}
 		r.mu.Unlock()
 		if r.Store != nil {
-			sk := r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
-			err := r.Store.Store(sk, replaystore.Result{Total: sum.Total, Steps: sum.Steps, Blocked: blocked})
+			err := r.Store.Store(r.storeKey(key), replaystore.Result{Total: sum.Total, Steps: sum.Steps, Blocked: sum.Blocked})
 			if err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
+				r.noteStoreErr(err)
 			}
 		}
 	}

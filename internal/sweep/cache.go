@@ -9,9 +9,9 @@ import (
 
 // VariantCache memoizes the overlap-transformed variants of one profiled
 // trace set, keyed by the transformation's variant name. It is safe for
-// concurrent use and the zero value is ready: both the sweep Runner and the
-// experiment harness build their variant caching on it, so the keying and
-// locking semantics live in exactly one place.
+// concurrent use and the zero value is ready: both the sweep Runner and
+// core.Study build their variant caching on it, so the keying and locking
+// semantics live in exactly one place.
 //
 // The transform runs under the lock: it is cheap next to the replays that
 // consume it, and serializing keeps every variant built exactly once.

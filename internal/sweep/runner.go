@@ -17,12 +17,14 @@ import (
 	"overlapsim/internal/units"
 )
 
-// Runner executes grids: it traces every distinct (app, ranks, chunks)
-// workload exactly once — the single instrumented run of the paper's
-// methodology — caches the overlapped trace variants, memoizes replay
-// results per (workload, variant, platform), and replays each grid point
-// on its platform. All methods are safe for concurrent use; the engine's
-// workers share the caches.
+// Runner executes grids: it traces every distinct Workload exactly once —
+// the single instrumented run of the paper's methodology — caches the
+// overlapped trace variants, memoizes replay results per (workload,
+// variant, platform), and replays each grid point on its platform. The
+// same trace-once, replay-memoized path answers single point queries
+// (Profiled, Variant, Original, Overlapped), which is how the paper
+// experiments run on it. All methods are safe for concurrent use; the
+// engine's workers share the caches.
 type Runner struct {
 	// work holds the live counters. Every access goes through the
 	// sync/atomic functions; the fields stay plain int64 so Stats can copy
@@ -75,7 +77,7 @@ type Runner struct {
 	ApproxSpotCheck float64
 
 	mu       sync.Mutex
-	pipes    map[pipeKey]*pipeline
+	pipes    map[Workload]*pipeline
 	memos    map[memoKey]*memoEntry
 	storeErr error
 }
@@ -175,10 +177,32 @@ func (r *Runner) Stats() Counters {
 	return c
 }
 
-type pipeKey struct {
-	app    string
-	ranks  int
-	chunks int
+// Workload names one traced application run: the app, its rank count,
+// problem size and iterations (0 = the app's defaults), and the chunk
+// granularity the tracer profiles at (0 = DefaultChunks). It keys the
+// trace-once slots and the persistent trace cache, and — with the trace
+// variant and the platform — the replay memo.
+type Workload struct {
+	App    string
+	Ranks  int
+	Size   int
+	Iters  int
+	Chunks int
+}
+
+// resolved applies the default chunk granularity, so that a workload
+// asked for with Chunks 0 shares its trace with the explicit default.
+func (w Workload) resolved() Workload {
+	if w.Chunks == 0 {
+		w.Chunks = DefaultChunks
+	}
+	return w
+}
+
+// workload resolves a grid point to the workload it replays: the point's
+// app, ranks and chunks at the runner's problem scale.
+func (r *Runner) workload(p Point) Workload {
+	return Workload{App: p.App, Ranks: p.Ranks, Size: r.Size, Iters: r.Iters, Chunks: p.Chunks}.resolved()
 }
 
 // pipeline is one traced workload with its variant cache. The trace runs
@@ -197,30 +221,31 @@ func NewRunner(base machine.Config) *Runner {
 	return &Runner{Base: base}
 }
 
-func (r *Runner) pipelineFor(key pipeKey) *pipeline {
+func (r *Runner) pipelineFor(w Workload) *pipeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pipes == nil {
-		r.pipes = map[pipeKey]*pipeline{}
+		r.pipes = map[Workload]*pipeline{}
 	}
-	p, ok := r.pipes[key]
+	p, ok := r.pipes[w]
 	if !ok {
 		p = &pipeline{}
-		r.pipes[key] = p
+		r.pipes[w] = p
 	}
 	return p
 }
 
-// profiled returns the workload's profiled set, tracing on first use. With
+// Profiled returns the workload's profiled set, tracing on first use. With
 // a persistent cache configured the instrumented run is skipped when a
 // sibling process (an earlier sweep, another shard) already traced the
 // workload; a fresh trace is stored for them in turn.
-func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
-	p := r.pipelineFor(key)
+func (r *Runner) Profiled(w Workload) (*overlap.ProfiledSet, error) {
+	w = w.resolved()
+	p := r.pipelineFor(w)
 	p.once.Do(func() {
 		var cacheKey string
 		if r.Cache != nil {
-			cacheKey = r.Cache.Key(key.app, key.ranks, key.chunks, r.Size, r.Iters)
+			cacheKey = r.Cache.Key(w.App, w.Ranks, w.Chunks, w.Size, w.Iters)
 			ps, err := r.Cache.Load(cacheKey)
 			if err != nil {
 				p.err = err
@@ -232,24 +257,59 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 				return
 			}
 		}
-		app, err := apps.New(key.app, apps.Config{Ranks: key.ranks, Size: r.Size, Iterations: r.Iters})
+		app, err := apps.New(w.App, apps.Config{Ranks: w.Ranks, Size: w.Size, Iterations: w.Iters})
 		if err != nil {
 			p.err = err
 			return
 		}
 		atomic.AddInt64(&r.work.Traces, 1)
-		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: key.chunks})
+		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: w.Chunks})
 		if p.err == nil && r.Cache != nil {
 			if err := r.Cache.Store(cacheKey, p.ps); err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
+				r.noteStoreErr(err)
 			}
 		}
 	})
 	return p.ps, p.err
+}
+
+// Variant returns the workload's overlapped trace for the options,
+// transforming on first use.
+func (r *Runner) Variant(w Workload, opts overlap.Options) (*trace.Set, error) {
+	ps, err := r.Profiled(w)
+	if err != nil {
+		return nil, err
+	}
+	return r.pipelineFor(w.resolved()).variants.Get(ps, opts)
+}
+
+// Original returns the replay summary of the workload's original trace on
+// the platform, memoized like every grid point's replay.
+func (r *Runner) Original(w Workload, m machine.Config) (replay.Summary, error) {
+	ps, err := r.Profiled(w)
+	if err != nil {
+		return replay.Summary{}, err
+	}
+	return r.replayMemo(w, ps.Original, false, m)
+}
+
+// Overlapped returns the replay summary of the workload's overlapped
+// trace for the options on the platform, memoized.
+func (r *Runner) Overlapped(w Workload, opts overlap.Options, m machine.Config) (replay.Summary, error) {
+	ts, err := r.Variant(w, opts)
+	if err != nil {
+		return replay.Summary{}, err
+	}
+	return r.replayMemo(w, ts, true, m)
+}
+
+// noteStoreErr keeps the first cache-write failure for CacheStoreErr.
+func (r *Runner) noteStoreErr(err error) {
+	r.mu.Lock()
+	if r.storeErr == nil {
+		r.storeErr = err
+	}
+	r.mu.Unlock()
 }
 
 // CacheStoreErr returns the first cache-write failure of the run — trace
@@ -262,27 +322,44 @@ func (r *Runner) CacheStoreErr() error {
 	return r.storeErr
 }
 
-// memoKey identifies one replay semantically: the traced workload (its
-// name and resolved rank count; problem scale is fixed per runner), the
-// trace variant, and the full platform. The variant name embeds pattern,
-// mechanisms and chunk count for overlapped traces and is "original" for
-// the untransformed one — which is identical across the chunk axis, so
-// chunk sweeps share a single original replay.
+// memoKey identifies one replay semantically: the traced workload (with
+// its rank count resolved from the trace), the trace variant, and the full
+// platform. The variant name embeds pattern, mechanisms and the transform's
+// chunk count for overlapped traces and is "original" for the
+// untransformed one. An overlapped key also keeps the traced chunk count —
+// a c4 transform of an 8-chunk profile is not the default transform of a
+// 4-chunk one — while the original key drops it: the original trace is
+// identical across the chunk axis, so chunk sweeps share one original
+// replay.
 type memoKey struct {
-	app      string
-	ranks    int
+	w        Workload
 	variant  string
 	platform machine.Config
+}
+
+func memoKeyOf(w Workload, ts *trace.Set, overlapped bool, m machine.Config) memoKey {
+	w = w.resolved()
+	w.App, w.Ranks = ts.Name, ts.NRanks()
+	if !overlapped {
+		w.Chunks = 0
+	}
+	// The platform name is presentation (it is rewritten by WithBandwidth);
+	// drop it so label differences cannot split otherwise equal platforms.
+	m.Name = ""
+	return memoKey{w: w, variant: ts.Variant, platform: m}
+}
+
+// storeKey is the memo key's persistent replay-store key.
+func (r *Runner) storeKey(k memoKey) string {
+	return r.Store.Key(k.w.App, k.w.Ranks, k.w.Size, k.w.Iters, k.variant, k.platform)
 }
 
 // memoEntry is a single-flight slot: the first requester simulates, later
 // and concurrent requesters wait for (and share) the result.
 type memoEntry struct {
-	once    sync.Once
-	total   units.Time
-	steps   int64
-	blocked float64
-	err     error
+	once sync.Once
+	sum  replay.Summary
+	err  error
 	// prefilled marks an entry the batch path computed before any point
 	// asked for it. The first lookup consumes the mark without counting a
 	// memo hit: that lookup is the point's own replay, already counted as
@@ -300,11 +377,8 @@ type memoEntry struct {
 // earlier process paid for) and a simulated result is written back for
 // the next process. Store lookups happen only here, once per memo fill,
 // so they stay off the per-event replay hot path.
-func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error) {
-	key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
-	// The platform name is presentation (it is rewritten by WithBandwidth);
-	// drop it so label differences cannot split otherwise equal platforms.
-	key.platform.Name = ""
+func (r *Runner) replayMemo(w Workload, ts *trace.Set, overlapped bool, m machine.Config) (replay.Summary, error) {
+	key := memoKeyOf(w, ts, overlapped, m)
 	r.mu.Lock()
 	if r.memos == nil {
 		r.memos = map[memoKey]*memoEntry{}
@@ -325,12 +399,10 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 	e.once.Do(func() {
 		var storeKey string
 		if r.Store != nil {
-			storeKey = r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
+			storeKey = r.storeKey(key)
 			if sr := r.Store.Load(storeKey); sr != nil {
 				atomic.AddInt64(&r.work.ReplayStoreHits, 1)
-				e.total = sr.Total
-				e.steps = sr.Steps
-				e.blocked = sr.Blocked
+				e.sum = replay.Summary{Total: sr.Total, Steps: sr.Steps, Blocked: sr.Blocked}
 				return
 			}
 		}
@@ -340,23 +412,17 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 			e.err = err
 			return
 		}
-		e.total = res.Total
-		e.steps = res.Steps
-		e.blocked = res.MeanBlockedFraction()
+		e.sum = replay.Summary{Total: res.Total, Steps: res.Steps, Blocked: res.MeanBlockedFraction()}
 		if r.Store != nil {
 			err := r.Store.Store(storeKey, replaystore.Result{
-				Total: e.total, Steps: e.steps, Blocked: e.blocked,
+				Total: e.sum.Total, Steps: e.sum.Steps, Blocked: e.sum.Blocked,
 			})
 			if err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
+				r.noteStoreErr(err)
 			}
 		}
 	})
-	return e, e.err
+	return e.sum, e.err
 }
 
 // machineFor applies the point's platform overrides to the base config: the
@@ -384,38 +450,31 @@ func (r *Runner) machineFor(p Point, nranks int) machine.Config {
 // RunPoint simulates one grid point: the original replay, the overlapped
 // replay, and the derived speedup.
 func (r *Runner) RunPoint(p Point) (Result, error) {
-	if p.Chunks == 0 {
-		p.Chunks = DefaultChunks
-	}
-	key := pipeKey{app: p.App, ranks: p.Ranks, chunks: p.Chunks}
-	ps, err := r.profiled(key)
+	w := r.workload(p)
+	ps, err := r.Profiled(w)
 	if err != nil {
 		return Result{}, err
 	}
 	m := r.machineFor(p, ps.Original.NRanks())
-	orig, err := r.replayMemo(ps.Original, m)
+	orig, err := r.Original(w, m)
 	if err != nil {
 		return Result{}, err
 	}
-	ts, err := r.pipelineFor(key).variants.Get(ps, p.Options())
-	if err != nil {
-		return Result{}, err
-	}
-	over, err := r.replayMemo(ts, m)
+	over, err := r.Overlapped(w, p.Options(), m)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
 		Point:     p,
 		Bandwidth: m.Bandwidth,
-		TOriginal: orig.total,
-		TOverlap:  over.total,
+		TOriginal: orig.Total,
+		TOverlap:  over.Total,
 		Speedup:   1,
-		Blocked:   orig.blocked,
-		Steps:     orig.steps + over.steps,
+		Blocked:   orig.Blocked,
+		Steps:     orig.Steps + over.Steps,
 	}
-	if over.total > 0 {
-		res.Speedup = float64(orig.total) / float64(over.total)
+	if over.Total > 0 {
+		res.Speedup = float64(orig.Total) / float64(over.Total)
 	}
 	return res, nil
 }

@@ -43,7 +43,7 @@ bench-smoke:
 # failure fails the target instead of archiving a silently truncated record.
 bench-json:
 	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
+		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkCompile$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
 		./internal/des ./internal/replay ./internal/sweep . > BENCH_PR10.txt
 	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH_PR10.json < BENCH_PR10.txt
 	@echo wrote BENCH_PR10.json

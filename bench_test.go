@@ -109,12 +109,9 @@ func BenchmarkTraceSweep3D(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayBT measures the Dimemas-like stage alone: replaying the
-// BT trace on the default platform. The benchmark owns its replayer and
-// warms it once outside the timer, so every timed replay reuses warm
-// scratch; a pooled replayer may go cold between iterations and change
-// allocs/op from run to run.
-func BenchmarkReplayBT(b *testing.B) {
+// btStudy traces the BT application at its default scale.
+func btStudy(b *testing.B) (*overlapsim.Environment, *overlapsim.Study) {
+	b.Helper()
 	env := overlapsim.NewEnvironment()
 	app, err := overlapsim.NewApp("bt", overlapsim.AppConfig{})
 	if err != nil {
@@ -124,14 +121,42 @@ func BenchmarkReplayBT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return env, study
+}
+
+// BenchmarkCompile measures the once-per-trace-set replay preparation on
+// the BT trace: trace.Validate plus the static pairing of sends, receives
+// and waits.
+func BenchmarkCompile(b *testing.B) {
+	_, study := btStudy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := replay.Compile(study.Original()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplayBT measures the Dimemas-like stage alone: replaying the
+// BT trace on the default platform. The trace is compiled once and the
+// benchmark owns its replayer, warmed once, both outside the timer, so
+// every timed replay reuses warm scratch; a pooled replayer may go cold
+// between iterations and change allocs/op from run to run.
+func BenchmarkReplayBT(b *testing.B) {
+	env, study := btStudy(b)
+	prog, err := replay.Compile(study.Original())
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := replay.NewReplayer()
-	if _, err := r.Simulate(study.Original(), env.Machine); err != nil {
+	if _, err := r.Simulate(prog, env.Machine); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Simulate(study.Original(), env.Machine); err != nil {
+		if _, err := r.Simulate(prog, env.Machine); err != nil {
 			b.Fatal(err)
 		}
 	}

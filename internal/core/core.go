@@ -48,7 +48,7 @@ func (e *Environment) Trace(app tracer.App) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps}, nil
+	return e.FromProfiled(ps)
 }
 
 // FromProfiled wraps an already-obtained profiled set (for example, one
@@ -57,10 +57,11 @@ func (e *Environment) FromProfiled(ps *overlap.ProfiledSet) (*Study, error) {
 	if ps == nil || ps.Original == nil {
 		return nil, fmt.Errorf("core: nil profiled set")
 	}
-	if err := trace.Validate(ps.Original); err != nil {
+	orig, err := replay.Compile(ps.Original)
+	if err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps}, nil
+	return &Study{env: e, Profiled: ps, orig: orig}, nil
 }
 
 // FromTrace wraps a bare original trace with no measured profiles; the
@@ -74,11 +75,13 @@ func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 	return e.FromProfiled(&overlap.ProfiledSet{Original: ts, Annotations: ann, Chunks: e.Chunks})
 }
 
-// Study is one traced application with cached overlapped variants. It is
-// safe for concurrent use.
+// Study is one traced application with cached overlapped variants. Each
+// trace set is compiled once into the replay Program all its replays run.
+// It is safe for concurrent use.
 type Study struct {
 	env      *Environment
 	Profiled *overlap.ProfiledSet
+	orig     *replay.Program
 	variants sweep.VariantCache
 }
 
@@ -88,21 +91,25 @@ func (s *Study) Original() *trace.Set { return s.Profiled.Original }
 // Variant returns (building and caching) the overlapped trace for the
 // given transformation options.
 func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
-	return s.variants.Get(s.Profiled, opts)
+	prog, err := s.variants.Get(s.Profiled, opts)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Set(), nil
 }
 
 // SimulateOriginal replays the original trace on the platform.
 func (s *Study) SimulateOriginal(m machine.Config) (*replay.Result, error) {
-	return replay.Simulate(s.Profiled.Original, m)
+	return s.orig.Simulate(m)
 }
 
 // SimulateVariant replays an overlapped variant on the platform.
 func (s *Study) SimulateVariant(m machine.Config, opts overlap.Options) (*replay.Result, error) {
-	ts, err := s.Variant(opts)
+	prog, err := s.variants.Get(s.Profiled, opts)
 	if err != nil {
 		return nil, err
 	}
-	return replay.Simulate(ts, m)
+	return prog.Simulate(m)
 }
 
 // Compare replays the original and one overlapped variant on the same

@@ -54,7 +54,11 @@ func (pl Pipeline) Profiled() (*overlap.ProfiledSet, error) { return pl.r.Profil
 
 // VariantSet returns the overlapped trace for the given options.
 func (pl Pipeline) VariantSet(opts overlap.Options) (*trace.Set, error) {
-	return pl.r.Variant(pl.w, opts)
+	prog, err := pl.r.VariantProgram(pl.w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Set(), nil
 }
 
 // Original replays the non-overlapped trace on the platform.

@@ -10,7 +10,6 @@ import (
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/paraver"
-	"overlapsim/internal/replay"
 	"overlapsim/internal/stats"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/trace"
@@ -65,25 +64,25 @@ func RunF1(s *Suite, w io.Writer) error {
 		return err
 	}
 	m := s.Machine.WithBandwidth(bw)
-	ps, err := pl.Profiled()
+	oprog, err := pl.r.OriginalProgram(pl.w)
 	if err != nil {
 		return err
 	}
-	vts, err := pl.VariantSet(bothLinear)
+	vprog, err := pl.r.VariantProgram(pl.w, bothLinear)
 	if err != nil {
 		return err
 	}
 	// The views need the replays' timelines, which the runner's memoized
-	// summaries do not keep: replay both traces directly.
-	orig, err := replay.Simulate(ps.Original, m)
+	// summaries do not keep: replay both programs directly.
+	orig, err := oprog.Simulate(m)
 	if err != nil {
 		return err
 	}
-	over, err := replay.Simulate(vts, m)
+	over, err := vprog.Simulate(m)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", ps.Original.Name, m)
+	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", oprog.Set().Name, m)
 	if err := paraver.RenderComparison(w, orig.Timelines, over.Timelines, paraver.GanttOptions{Width: 72, Legend: true}); err != nil {
 		return err
 	}

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"overlapsim/internal/machine"
+	"overlapsim/internal/overlap"
 	"overlapsim/internal/trace"
+	"overlapsim/internal/tracegen"
+	"overlapsim/internal/tracer"
 )
 
 // mixedSet exercises every hot-path object class: bursts, eager and
@@ -42,11 +45,11 @@ func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 	r := NewReplayer()
 	for round := 0; round < 3; round++ {
 		for _, ts := range sets {
-			want, err := NewReplayer().Simulate(ts, cfg)
+			want, err := simulateFresh(ts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.Simulate(ts, cfg)
+			got, err := r.Simulate(mustCompile(t, ts), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +67,7 @@ func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 		bad.Traces[1].Append(trace.Send(0, 1, 64000), trace.Recv(0, 0, 64000))
 		deadCfg := cfg
 		deadCfg.EagerThreshold = 0
-		if _, err := r.Simulate(bad, deadCfg); err == nil {
+		if _, err := r.Simulate(mustCompile(t, bad), deadCfg); err == nil {
 			t.Fatal("expected deadlock error")
 		}
 	}
@@ -82,16 +85,16 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
-	ts := mixedSet()
+	prog := mustCompile(t, mixedSet())
 	cfg := testConfig()
 	r := NewReplayer()
 	for i := 0; i < 3; i++ { // warm free lists, queues, builders
-		if _, err := r.Simulate(ts, cfg); err != nil {
+		if _, err := r.Simulate(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Simulate(ts, cfg); err != nil {
+		if _, err := r.Simulate(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -101,11 +104,50 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// overlappedSparse64 is the linear-pattern overlap transform of a 64-rank
+// randomsparse workload. The transform fires chunk ISends that no Wait
+// ever consumes; the test fails if the set has none, so the leg that uses
+// it keeps covering such transfers.
+func overlappedSparse64(t *testing.T) *trace.Set {
+	t.Helper()
+	spec, err := tracegen.ParseSpec("gen:randomsparse,ranks=64,iters=4,msg=16384,comp=20000,deg=8,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := tracegen.Generate(spec, tracer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := overlap.Transform(ps, overlap.Options{Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwaited := 0
+	for i := range ts.Traces {
+		reqs := map[int]bool{}
+		for _, rec := range ts.Traces[i].Records {
+			switch rec.Kind {
+			case trace.KindISend:
+				reqs[rec.Req] = true
+			case trace.KindWait:
+				delete(reqs, rec.Req)
+			}
+		}
+		unwaited += len(reqs)
+	}
+	if unwaited == 0 {
+		t.Fatal("overlapped set has no unwaited ISend")
+	}
+	return ts
+}
+
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
 // summary path — what every batched sweep point pays. Result assembly is
 // the only allocation Simulate makes when warm, and SimulateSummary skips
-// it. The contended leg keeps transfers waiting for a bus and links, so
-// the wait queues must reuse their storage too.
+// it. The contended legs keep transfers waiting for a bus and links, so
+// the wait queues must reuse their storage too; the overlapped leg posts
+// transfers nobody waits on, which must come from the transfer arena as
+// well.
 func TestSummarySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
@@ -115,21 +157,21 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		ts  *trace.Set
 		cfg machine.Config
-	}{{pipelineSet(), testConfig()}, {mixedSet(), contended}} {
-		ts, cfg := c.ts, c.cfg
+	}{{pipelineSet(), testConfig()}, {mixedSet(), contended}, {overlappedSparse64(t), contendedConfig()}} {
+		prog, cfg := mustCompile(t, c.ts), c.cfg
 		r := NewReplayer()
 		for i := 0; i < 3; i++ {
-			if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			if _, err := r.SimulateSummary(prog, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			if _, err := r.SimulateSummary(prog, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 0 {
-			t.Errorf("%s with %d buses: warm SimulateSummary allocates %.1f/run, budget 0", ts.Name, cfg.Buses, allocs)
+			t.Errorf("%s/%s with %d buses: warm SimulateSummary allocates %.1f/run, budget 0", c.ts.Name, c.ts.Variant, cfg.Buses, allocs)
 		}
 	}
 }
@@ -137,16 +179,16 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 // BenchmarkReplayerReuse measures the steady-state replay hot path without
 // the pooled wrapper: the number every sweep point pays after warm-up.
 func BenchmarkReplayerReuse(b *testing.B) {
-	ts := mixedSet()
+	prog := mustCompile(b, mixedSet())
 	cfg := testConfig()
 	r := NewReplayer()
-	if _, err := r.Simulate(ts, cfg); err != nil {
+	if _, err := r.Simulate(prog, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Simulate(ts, cfg); err != nil {
+		if _, err := r.Simulate(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

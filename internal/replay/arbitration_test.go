@@ -18,7 +18,7 @@ import (
 // microseconds, plus the network stats.
 func replayFinishes(t *testing.T, ts *trace.Set, cfg machine.Config) ([]float64, NetworkStats) {
 	t.Helper()
-	res, err := NewReplayer().Simulate(ts, cfg)
+	res, err := simulateFresh(ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"overlapsim/internal/machine"
 	"overlapsim/internal/timeline"
-	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
 )
 
@@ -22,25 +21,11 @@ type Summary struct {
 
 // SimulateSummary runs one replay and reports only the summary — the warm
 // path with no per-run result assembly. Semantics match Simulate exactly.
-func (s *Replayer) SimulateSummary(ts *trace.Set, cfg machine.Config) (Summary, error) {
-	if ts == nil || ts.NRanks() == 0 {
-		return Summary{}, fmt.Errorf("replay: empty trace set")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Summary{}, err
-	}
-	if err := s.validate(ts); err != nil {
-		return Summary{}, err
-	}
-	defer s.dropRecs()
-	return s.simulateSummaryPrepared(ts, cfg)
-}
-
-// simulateSummaryPrepared runs one prepared point and summarizes it from
-// the replayer's struct-of-arrays finish state and the still-open timeline
-// builders (StateDurations reads them without closing or copying).
-func (s *Replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config) (Summary, error) {
-	if err := s.runPrepared(ts, cfg); err != nil {
+// It reads the replayer's struct-of-arrays finish state and the still-open
+// timeline builders (StateDurations reads them without closing or
+// copying).
+func (s *Replayer) SimulateSummary(prog *Program, cfg machine.Config) (Summary, error) {
+	if err := s.run(prog, cfg); err != nil {
 		return Summary{}, err
 	}
 	sum := Summary{Steps: s.ranSteps}
@@ -67,29 +52,21 @@ func (s *Replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config) (S
 	return sum, nil
 }
 
-// SimulateBatch replays the same trace set across many platform configs
-// through one warm replayer, writing one Summary per config into out. The
-// per-point setup that Simulate repeats — trace validation, record
-// attachment, result assembly — is hoisted out of or dropped from the
-// loop; only the platform-dependent reset and the event loop itself run
-// per point. On a config or model error it stops and returns how many
+// SimulateBatch replays the same program across many platform configs
+// through one warm replayer, writing one Summary per config into out. Only
+// the platform-dependent reset and the event loop itself run per point:
+// validation and message pairing happened once, in Compile, and no result
+// is assembled. On a config or model error it stops and returns how many
 // leading points completed (out[:n] are valid) alongside the error.
-func (s *Replayer) SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary) (int, error) {
+func (s *Replayer) SimulateBatch(prog *Program, cfgs []machine.Config, out []Summary) (int, error) {
 	if len(out) < len(cfgs) {
 		return 0, fmt.Errorf("replay: batch output holds %d summaries for %d configs", len(out), len(cfgs))
 	}
-	if ts == nil || ts.NRanks() == 0 {
+	if prog.ts.NRanks() == 0 {
 		return 0, fmt.Errorf("replay: empty trace set")
 	}
-	if err := s.validate(ts); err != nil {
-		return 0, err
-	}
-	defer s.dropRecs()
 	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return i, fmt.Errorf("replay: batch point %d: %w", i, err)
-		}
-		sum, err := s.simulateSummaryPrepared(ts, cfg)
+		sum, err := s.SimulateSummary(prog, cfg)
 		if err != nil {
 			return i, fmt.Errorf("replay: batch point %d: %w", i, err)
 		}

@@ -57,7 +57,7 @@ func TestSimulateBatchMatchesSimulate(t *testing.T) {
 	for _, ts := range []*trace.Set{mixedSet(), pipelineSet(), haloSet(16, 3)} {
 		cfgs := platformAxis(6)
 		out := make([]Summary, len(cfgs))
-		n, err := NewReplayer().SimulateBatch(ts, cfgs, out)
+		n, err := NewReplayer().SimulateBatch(mustCompile(t, ts), cfgs, out)
 		if err != nil {
 			t.Fatalf("%s: %v", ts.Name, err)
 		}
@@ -113,17 +113,17 @@ func TestBatchWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
-	ts := mixedSet()
+	prog := mustCompile(t, mixedSet())
 	cfgs := platformAxis(8)
 	out := make([]Summary, len(cfgs))
 	r := NewReplayer()
 	for i := 0; i < 3; i++ {
-		if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
+		if _, err := r.SimulateBatch(prog, cfgs, out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
+		if _, err := r.SimulateBatch(prog, cfgs, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -137,17 +137,17 @@ func TestBatchWarmAllocs(t *testing.T) {
 // BenchmarkReplayBatchWarm measures the per-point cost of the batch path on
 // a warm replayer: what a platform-axis sweep group pays per grid point.
 func BenchmarkReplayBatchWarm(b *testing.B) {
-	ts := mixedSet()
+	prog := mustCompile(b, mixedSet())
 	cfgs := platformAxis(16)
 	out := make([]Summary, len(cfgs))
 	r := NewReplayer()
-	if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
+	if _, err := r.SimulateBatch(prog, cfgs, out); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
+		if _, err := r.SimulateBatch(prog, cfgs, out); err != nil {
 			b.Fatal(err)
 		}
 	}

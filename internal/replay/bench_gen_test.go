@@ -53,15 +53,16 @@ func BenchmarkReplayGen64Seq(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := mustCompile(b, ts)
 	cfg := gen64Config()
 	r := NewReplayer()
-	if _, err := r.SimulateSummary(ts, cfg); err != nil {
+	if _, err := r.SimulateSummary(prog, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+		if _, err := r.SimulateSummary(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,18 +96,19 @@ func contendedConfig() machine.Config {
 
 // BenchmarkReplayContended times the network arbitration layer: the warm
 // summary path on a workload that keeps the bus saturated and the wait
-// queue deep.
+// queue deep. The set is compiled once, outside the timer.
 func BenchmarkReplayContended(b *testing.B) {
 	ts, err := contended64()
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := mustCompile(b, ts)
 	cfg := contendedConfig()
 	r := NewReplayer()
-	if _, err := r.SimulateSummary(ts, cfg); err != nil {
+	if _, err := r.SimulateSummary(prog, cfg); err != nil {
 		b.Fatal(err)
 	}
-	res, err := r.Simulate(ts, cfg)
+	res, err := r.Simulate(prog, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func BenchmarkReplayContended(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+		if _, err := r.SimulateSummary(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,6 +26,19 @@
 // let through. docs/ARCHITECTURE.md ("Network arbitration") gives the
 // invariant this rests on.
 //
+// # Compiled programs
+//
+// Work that depends only on the trace set is done once, by Compile: it
+// validates the set and pairs its messages statically, giving every
+// point-to-point record the dense id of its transfer and every Wait the
+// id of the transfer its request posted. Matching is FIFO per directed
+// channel (src, dst, tag) and one rank posts each side of a channel in
+// record order, so the k-th send always meets the k-th receive and the
+// pairing holds on every platform. The holder of a trace set owns its
+// Program and replays it on as many platforms as it likes; the package-
+// level Simulate and SimulateBatch compile on every call and suit one-shot
+// callers.
+//
 // # Allocation-free hot path
 //
 // Replay throughput bounds sweep scale — every grid point, shard and
@@ -33,20 +46,20 @@
 // allocation. Ranks and transfers implement des.Target and are driven by
 // typed events (advance, wire-done, deliver) instead of closures, and all
 // per-run scratch is owned and recycled by a Replayer: the DES engine and
-// its queue, rank state machines with their request tables and timeline
-// builders, per-channel FIFO queues, collective slots, and a transfer free
-// list. A transfer returns to the free list once it is delivered, matched
-// on both sides and unreferenced by any request table (the trace validator
-// guarantees each request is waited at most once, which is what makes the
-// reference count exact).
+// its queue, rank state machines with their timeline builders, the
+// transfer arena, wait entries and collective slots. Transfers live in
+// the arena at their Program ids and the arena is zeroed at reset, so a
+// transfer nobody waits on (an overlapped trace's chunk ISends) costs
+// nothing to reclaim.
 //
 // A warm Replayer therefore allocates only the result snapshot a Simulate
 // call hands back: one block holding the Result and its timeline set, the
 // lines slice, and two arenas all ranks' intervals and events are carved
 // from (sized up front via timeline.Builder.SnapshotBound, so the count
 // is independent of rank count). TestReplaySteadyStateAllocs pins that
-// budget (4 allocations for the 4-rank guard workload); the package-level
-// Simulate draws replayers from an internal pool so every caller — the
+// budget (4 allocations for the 4-rank guard workload), and
+// TestSummarySteadyStateAllocs pins 0 for the summary path. The Program
+// methods draw replayers from an internal pool so every caller — the
 // sweep runner's workers included — reuses warm scratch automatically.
 //
 // # One sequential event loop
@@ -56,7 +69,7 @@
 // parallel and batches a workload's platform axis through one warm
 // Replayer (SimulateBatch), not from splitting a single replay.
 //
-// Determinism matters beyond reproducibility: Simulate is a pure function
+// Determinism matters beyond reproducibility: a replay is a pure function
 // of (trace set, machine configuration), which is what lets the sweep
 // layer memoize replay results by (workload, variant, platform) and lets
 // sharded sweep campaigns promise byte-identical merged output. The

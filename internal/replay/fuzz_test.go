@@ -30,7 +30,14 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := trace.Validate(ts); err != nil {
+		// Compile adds no rule of its own: it fails exactly when the
+		// validator does, with the validator's message.
+		_, cerr := Compile(ts)
+		verr := trace.Validate(ts)
+		if (cerr == nil) != (verr == nil) || (verr != nil && cerr.Error() != verr.Error()) {
+			t.Fatalf("Compile error %v, Validate error %v", cerr, verr)
+		}
+		if verr != nil {
 			return
 		}
 		if ts.NRanks() > 32 {
@@ -72,7 +79,7 @@ func FuzzReplay(f *testing.F) {
 		for i, c := range cfgs {
 			want, err := Simulate(ts, c)
 			if i > 0 {
-				fresh, ferr := NewReplayer().Simulate(ts, c)
+				fresh, ferr := simulateFresh(ts, c)
 				if (err == nil) != (ferr == nil) {
 					t.Fatalf("config %d: fresh/pooled disagree on failure: pooled=%v fresh=%v", i, err, ferr)
 				}

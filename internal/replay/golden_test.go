@@ -161,7 +161,7 @@ func TestContendedReplayGolden(t *testing.T) {
 	for prefix, ts := range sets {
 		for _, p := range contendedPlatforms() {
 			h := sha256.New()
-			res, err := NewReplayer().Simulate(ts, p.cfg)
+			res, err := simulateFresh(ts, p.cfg)
 			hashResult(h, res, err)
 			got[prefix+"@"+p.name] = hex.EncodeToString(h.Sum(nil))
 		}

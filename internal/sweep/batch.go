@@ -7,18 +7,17 @@ import (
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep/replaystore"
-	"overlapsim/internal/trace"
 )
 
 // This file implements batched warm-Replayer execution for platform-axis
 // grids. A sweep along platform axes replays the same trace set once per
-// platform; run naively, every one of those replays pays trace validation,
-// record attachment and result assembly again. The prefill pass below
-// detects groups of points that share a workload and trace variant but
-// differ in platform, and pushes all their missing replays through one
-// warm replay.SimulateBatch loop before the workers start. Points then
-// find their memo entries prefilled; everything else about the run —
-// results, caching semantics, counter totals — is unchanged.
+// platform, each replay on whichever pooled replayer its worker draws. The
+// prefill pass below detects groups of points that share a workload and
+// trace variant but differ in platform, and pushes all their missing
+// replays through one warm replayer (replay.Program.Batch) before the
+// workers start. Points then find their memo entries prefilled; everything
+// else about the run — results, caching semantics, counter totals — is
+// unchanged.
 
 // batchKey groups expanded points that replay the same trace sets: same
 // workload and same overlap transformation. Within a group only the
@@ -68,14 +67,14 @@ func (r *Runner) prefillIndices(pts []Point, indices []int) {
 }
 
 // prefillGroup batches one workload-variant group: trace (or load) the
-// workload once, build its two trace sets, and batch-replay every platform
+// workload once, build its two programs, and batch-replay every platform
 // in the group that neither the memo nor the persistent store has yet.
 func (r *Runner) prefillGroup(k batchKey, group []Point) {
-	ps, err := r.Profiled(k.w)
+	orig, err := r.OriginalProgram(k.w)
 	if err != nil {
 		return
 	}
-	nranks := ps.Original.NRanks()
+	nranks := orig.Set().NRanks()
 	// Distinct platforms in first-appearance order: duplicates collapse to
 	// one batch point exactly as they collapse to one memo fill.
 	var machines []machine.Config
@@ -92,20 +91,19 @@ func (r *Runner) prefillGroup(k batchKey, group []Point) {
 	if len(machines) < 2 {
 		return
 	}
-	vts, err := r.Variant(k.w, k.opts)
+	over, err := r.VariantProgram(k.w, k.opts)
 	if err != nil {
 		return
 	}
-	r.prefillSet(k.w, ps.Original, false, machines)
-	if vts != ps.Original {
-		r.prefillSet(k.w, vts, true, machines)
-	}
+	r.prefillSet(k.w, orig, false, machines)
+	r.prefillSet(k.w, over, true, machines)
 }
 
-// prefillSet batch-replays the trace set on every machine whose memo entry
+// prefillSet batch-replays the program on every machine whose memo entry
 // is missing (and not already in the persistent store), then installs the
 // summaries as prefilled memo entries and writes them through to the store.
-func (r *Runner) prefillSet(w Workload, ts *trace.Set, overlapped bool, machines []machine.Config) {
+func (r *Runner) prefillSet(w Workload, prog *replay.Program, overlapped bool, machines []machine.Config) {
+	ts := prog.Set()
 	var missing []machine.Config
 	for _, m := range machines {
 		key := memoKeyOf(w, ts, overlapped, m)
@@ -124,7 +122,7 @@ func (r *Runner) prefillSet(w Workload, ts *trace.Set, overlapped bool, machines
 		return // leave a lone fill to the normal path
 	}
 	out := make([]replay.Summary, len(missing))
-	n, _ := replay.SimulateBatch(ts, missing, out, 0)
+	n, _ := prog.Batch(missing, out)
 	// On error the completed prefix is still valid; the failing point's
 	// entry stays unfilled so RunPoint reports the error in context.
 	for i := 0; i < n; i++ {

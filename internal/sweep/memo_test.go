@@ -73,10 +73,11 @@ func TestReplayMemoKeySeparatesWorkloads(t *testing.T) {
 		{Workload{App: "sweep3d", Ranks: 4, Size: 256, Iters: 1, Chunks: 8}, real},
 		{Workload{App: "sweep3d", Ranks: 4, Size: 256, Iters: 1, Chunks: 4}, c8},
 	} {
-		ts, err := r.Variant(q.w, q.opts)
+		prog, err := r.VariantProgram(q.w, q.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ts := prog.Set()
 		names = append(names, ts.Variant)
 		want := direct(ts)
 		distinct(q.w, want)
@@ -93,5 +94,58 @@ func TestReplayMemoKeySeparatesWorkloads(t *testing.T) {
 	}
 	if st := r.Stats(); st.Traces != 5 || st.Replays != 5 || st.ReplayMemoHits != 0 {
 		t.Errorf("runner did %+v, want 5 traces, 5 replays and no memo hits", st)
+	}
+}
+
+// TestRunnerReplaysOneProgramPerSet checks that the Runner compiles each
+// trace set once and runs every replay of it — batch prefill, memo fills
+// from grid points and direct point queries — on that one Program: the
+// runs counted by the workload's programs add up to every replay the
+// runner made.
+func TestRunnerReplaysOneProgramPerSet(t *testing.T) {
+	g := batchGrid()
+	g.Patterns = []overlap.Pattern{overlap.PatternLinear, overlap.PatternReal}
+	r := NewRunner(machine.Default())
+	if _, err := r.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	pts := g.Expand()
+	w := r.workload(pts[0])
+	m := r.machineFor(pts[0], 16).WithBandwidth(64 * units.MBPerSec) // not on the grid
+	if _, err := r.Original(w, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Overlapped(w, pts[0].Options(), m); err != nil {
+		t.Fatal(err)
+	}
+
+	orig, err := r.OriginalProgram(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := r.OriginalProgram(w); again != orig {
+		t.Fatal("OriginalProgram compiled the original trace twice")
+	}
+	runs := orig.Runs()
+	for _, pat := range g.Patterns {
+		opts := overlap.Options{Mechanisms: overlap.BothMechanisms, Pattern: pat}
+		prog, err := r.VariantProgram(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := r.VariantProgram(w, opts); again != prog {
+			t.Fatalf("%s: VariantProgram compiled the variant twice", pat)
+		}
+		if prog.Runs() < 2 {
+			t.Fatalf("%s: variant program ran %d times, want every platform", pat, prog.Runs())
+		}
+		runs += prog.Runs()
+	}
+	st := r.Stats()
+	if st.BatchedReplays == 0 || st.Replays == st.BatchedReplays {
+		t.Fatalf("work %+v: want both batched and per-point replays", st)
+	}
+	if runs != st.Replays {
+		t.Fatalf("the workload's programs ran %d replays, the runner made %d", runs, st.Replays)
 	}
 }

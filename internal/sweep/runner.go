@@ -19,10 +19,11 @@ import (
 
 // Runner executes grids: it traces every distinct Workload exactly once —
 // the single instrumented run of the paper's methodology — caches the
-// overlapped trace variants, memoizes replay results per (workload,
+// overlapped trace variants, compiles each trace set once into the replay
+// Program all its replays run, memoizes replay results per (workload,
 // variant, platform), and replays each grid point on its platform. The
 // same trace-once, replay-memoized path answers single point queries
-// (Profiled, Variant, Original, Overlapped), which is how the paper
+// (Profiled, VariantProgram, Original, Overlapped), which is how the paper
 // experiments run on it. All methods are safe for concurrent use; the
 // engine's workers share the caches.
 type Runner struct {
@@ -50,7 +51,7 @@ type Runner struct {
 	Cache *TraceCache
 	// DisableBatch turns off batched warm-replayer execution. By default a
 	// grid that varies only platform axes for a workload routes all its
-	// missing replays through one warm Replayer (replay.SimulateBatch)
+	// missing replays through one warm Replayer (replay.Program.Batch)
 	// before the workers start, skipping per-point setup.
 	DisableBatch bool
 	// Store, when non-nil, persists replay results on disk (normally next
@@ -205,12 +206,14 @@ func (r *Runner) workload(p Point) Workload {
 	return Workload{App: p.App, Ranks: p.Ranks, Size: r.Size, Iters: r.Iters, Chunks: p.Chunks}.resolved()
 }
 
-// pipeline is one traced workload with its variant cache. The trace runs
-// under once, so concurrent points that share a workload wait for a single
-// instrumented run instead of repeating it.
+// pipeline is one traced workload with its compiled original trace and
+// its variant cache. The trace and the compile run under once, so
+// concurrent points that share a workload wait for a single instrumented
+// run instead of repeating it.
 type pipeline struct {
 	once sync.Once
 	ps   *overlap.ProfiledSet
+	orig *replay.Program
 	err  error
 
 	variants VariantCache
@@ -235,72 +238,100 @@ func (r *Runner) pipelineFor(w Workload) *pipeline {
 	return p
 }
 
-// Profiled returns the workload's profiled set, tracing on first use. With
-// a persistent cache configured the instrumented run is skipped when a
-// sibling process (an earlier sweep, another shard) already traced the
-// workload; a fresh trace is stored for them in turn.
-func (r *Runner) Profiled(w Workload) (*overlap.ProfiledSet, error) {
+// traced returns the workload's pipeline once its trace is in hand and
+// compiled, tracing on first use.
+func (r *Runner) traced(w Workload) (*pipeline, error) {
 	w = w.resolved()
 	p := r.pipelineFor(w)
 	p.once.Do(func() {
-		var cacheKey string
-		if r.Cache != nil {
-			cacheKey = r.Cache.Key(w.App, w.Ranks, w.Chunks, w.Size, w.Iters)
-			ps, err := r.Cache.Load(cacheKey)
-			if err != nil {
-				p.err = err
-				return
-			}
-			if ps != nil {
-				atomic.AddInt64(&r.work.TraceCacheHits, 1)
-				p.ps = ps
-				return
-			}
-		}
-		app, err := apps.New(w.App, apps.Config{Ranks: w.Ranks, Size: w.Size, Iterations: w.Iters})
-		if err != nil {
-			p.err = err
-			return
-		}
-		atomic.AddInt64(&r.work.Traces, 1)
-		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: w.Chunks})
-		if p.err == nil && r.Cache != nil {
-			if err := r.Cache.Store(cacheKey, p.ps); err != nil {
-				r.noteStoreErr(err)
-			}
+		p.ps, p.err = r.profile(w)
+		if p.err == nil {
+			p.orig, p.err = replay.Compile(p.ps.Original)
 		}
 	})
-	return p.ps, p.err
+	return p, p.err
 }
 
-// Variant returns the workload's overlapped trace for the options,
-// transforming on first use.
-func (r *Runner) Variant(w Workload, opts overlap.Options) (*trace.Set, error) {
-	ps, err := r.Profiled(w)
+// profile obtains the workload's profiled set: from the persistent cache
+// when one is configured and a sibling process (an earlier sweep, another
+// shard) already traced the workload, otherwise by an instrumented run,
+// which is stored for them in turn.
+func (r *Runner) profile(w Workload) (*overlap.ProfiledSet, error) {
+	var cacheKey string
+	if r.Cache != nil {
+		cacheKey = r.Cache.Key(w.App, w.Ranks, w.Chunks, w.Size, w.Iters)
+		ps, err := r.Cache.Load(cacheKey)
+		if err != nil {
+			return nil, err
+		}
+		if ps != nil {
+			atomic.AddInt64(&r.work.TraceCacheHits, 1)
+			return ps, nil
+		}
+	}
+	app, err := apps.New(w.App, apps.Config{Ranks: w.Ranks, Size: w.Size, Iterations: w.Iters})
 	if err != nil {
 		return nil, err
 	}
-	return r.pipelineFor(w.resolved()).variants.Get(ps, opts)
+	atomic.AddInt64(&r.work.Traces, 1)
+	ps, err := tracer.Trace(app, tracer.Options{Chunks: w.Chunks})
+	if err == nil && r.Cache != nil {
+		if err := r.Cache.Store(cacheKey, ps); err != nil {
+			r.noteStoreErr(err)
+		}
+	}
+	return ps, err
+}
+
+// Profiled returns the workload's profiled set, tracing on first use (see
+// profile).
+func (r *Runner) Profiled(w Workload) (*overlap.ProfiledSet, error) {
+	p, err := r.traced(w)
+	if err != nil {
+		return nil, err
+	}
+	return p.ps, nil
+}
+
+// OriginalProgram returns the workload's original trace compiled for
+// replay: the one Program every replay of that trace runs.
+func (r *Runner) OriginalProgram(w Workload) (*replay.Program, error) {
+	p, err := r.traced(w)
+	if err != nil {
+		return nil, err
+	}
+	return p.orig, nil
+}
+
+// VariantProgram returns the workload's overlapped trace for the options,
+// transformed and compiled on first use: the one Program every replay of
+// that variant runs.
+func (r *Runner) VariantProgram(w Workload, opts overlap.Options) (*replay.Program, error) {
+	p, err := r.traced(w)
+	if err != nil {
+		return nil, err
+	}
+	return p.variants.Get(p.ps, opts)
 }
 
 // Original returns the replay summary of the workload's original trace on
 // the platform, memoized like every grid point's replay.
 func (r *Runner) Original(w Workload, m machine.Config) (replay.Summary, error) {
-	ps, err := r.Profiled(w)
+	prog, err := r.OriginalProgram(w)
 	if err != nil {
 		return replay.Summary{}, err
 	}
-	return r.replayMemo(w, ps.Original, false, m)
+	return r.replayMemo(w, prog, false, m)
 }
 
 // Overlapped returns the replay summary of the workload's overlapped
 // trace for the options on the platform, memoized.
 func (r *Runner) Overlapped(w Workload, opts overlap.Options, m machine.Config) (replay.Summary, error) {
-	ts, err := r.Variant(w, opts)
+	prog, err := r.VariantProgram(w, opts)
 	if err != nil {
 		return replay.Summary{}, err
 	}
-	return r.replayMemo(w, ts, true, m)
+	return r.replayMemo(w, prog, true, m)
 }
 
 // noteStoreErr keeps the first cache-write failure for CacheStoreErr.
@@ -368,7 +399,8 @@ type memoEntry struct {
 	prefilled bool
 }
 
-// replayMemo memoizes replay.Simulate per (workload, variant, platform).
+// replayMemo memoizes the program's replay summary per (workload, variant,
+// platform).
 // A sweep grid replays the same trace on the same platform once per other
 // axis value — e.g. every mechanism point re-replays the original trace —
 // and the memo collapses those duplicates. With a persistent Store
@@ -377,8 +409,8 @@ type memoEntry struct {
 // earlier process paid for) and a simulated result is written back for
 // the next process. Store lookups happen only here, once per memo fill,
 // so they stay off the per-event replay hot path.
-func (r *Runner) replayMemo(w Workload, ts *trace.Set, overlapped bool, m machine.Config) (replay.Summary, error) {
-	key := memoKeyOf(w, ts, overlapped, m)
+func (r *Runner) replayMemo(w Workload, prog *replay.Program, overlapped bool, m machine.Config) (replay.Summary, error) {
+	key := memoKeyOf(w, prog.Set(), overlapped, m)
 	r.mu.Lock()
 	if r.memos == nil {
 		r.memos = map[memoKey]*memoEntry{}
@@ -407,12 +439,10 @@ func (r *Runner) replayMemo(w Workload, ts *trace.Set, overlapped bool, m machin
 			}
 		}
 		atomic.AddInt64(&r.work.Replays, 1)
-		res, err := replay.Simulate(ts, m)
-		if err != nil {
-			e.err = err
+		e.sum, e.err = prog.Summary(m)
+		if e.err != nil {
 			return
 		}
-		e.sum = replay.Summary{Total: res.Total, Steps: res.Steps, Blocked: res.MeanBlockedFraction()}
 		if r.Store != nil {
 			err := r.Store.Store(storeKey, replaystore.Result{
 				Total: e.sum.Total, Steps: e.sum.Steps, Blocked: e.sum.Blocked,

@@ -20,8 +20,9 @@ const (
 
 // validateScratch holds the working storage of one Validate call. Scratch
 // objects are pooled and their maps and slices cleared rather than
-// reallocated, so validating inside the replay hot path (every Simulate
-// call revalidates its input) settles to zero steady-state allocation.
+// reallocated, so repeated validation (replay.Compile runs it once per
+// trace set, and one-shot replay.Simulate calls compile every time)
+// settles to zero steady-state allocation.
 type validateScratch struct {
 	sends, recvs map[edge]int
 	reqs         map[int]uint8 // per-rank posted/waited bits
